@@ -139,9 +139,10 @@ let bench_churn ?domains ?warm ?(wire = fun _ -> ()) ~nic_of n =
 let bench_churn_local n = bench_churn ~nic_of:Fun.id n
 let bench_churn_coupled n = bench_churn ~nic_of:(fun i -> (i + 3) mod 8) n
 
-(* flow-churn-warm-4096 pins warm-starting on regardless of IHNET_WARM,
-   so the snapshot always carries one explicitly-warm churn subject to
-   hold against [baseline_pre_warmstart]. *)
+(* flow-churn-warm-4096 passes [~warm:true] explicitly: the component
+   memo is on by default, so this is the flow-churn-4096 fabric, kept
+   as its own subject so the snapshot carries one explicitly memoized
+   churn subject to hold against [baseline_pre_warmstart]. *)
 let bench_churn_warm n = bench_churn ~warm:true ~nic_of:Fun.id n
 
 (* flow-churn-sketch-4096 is flow-churn-4096 with the always-on

@@ -3,7 +3,9 @@
    Usage:
      dune exec bin/experiments.exe            # run everything
      dune exec bin/experiments.exe -- e4 e8   # run a subset
-     dune exec bin/experiments.exe -- --list  *)
+     dune exec bin/experiments.exe -- --list
+
+   Exits 1 when an id is unknown or any verdict is a MISMATCH. *)
 
 let list_experiments () =
   List.iter (fun (id, _) -> print_endline id) Ihnet_experiments.Registry.all
@@ -26,19 +28,24 @@ let save_csvs out_dir (r : Ihnet_experiments.Common.result) =
       r.Ihnet_experiments.Common.tables
 
 let run_ids out_dir ids =
-  let failures = ref [] in
-  List.iter
-    (fun id ->
-      match Ihnet_experiments.Registry.find id with
-      | Some run ->
-        let r = run () in
-        Ihnet_experiments.Common.print_result r;
-        save_csvs out_dir r
-      | None ->
-        Printf.eprintf "unknown experiment %S (use --list)\n" id;
-        failures := id :: !failures)
-    ids;
-  if !failures <> [] then exit 1
+  let unknown = ref false in
+  let results =
+    List.filter_map
+      (fun id ->
+        match Ihnet_experiments.Registry.find id with
+        | Some run ->
+          let r = run () in
+          Ihnet_experiments.Common.print_result r;
+          save_csvs out_dir r;
+          Some r
+        | None ->
+          Printf.eprintf "unknown experiment %S (use --list)\n" id;
+          unknown := true;
+          None)
+      ids
+  in
+  if !unknown then exit 1;
+  results
 
 open Cmdliner
 
@@ -55,9 +62,17 @@ let out_arg =
 
 let main list_flag out_dir ids =
   if list_flag then list_experiments ()
-  else if ids = [] then
-    List.iter (save_csvs out_dir) (Ihnet_experiments.Registry.run_all ())
-  else run_ids out_dir ids
+  else begin
+    let results =
+      if ids = [] then begin
+        let results = Ihnet_experiments.Registry.run_all () in
+        List.iter (save_csvs out_dir) results;
+        results
+      end
+      else run_ids out_dir ids
+    in
+    if not (List.for_all Ihnet_experiments.Registry.reproduced results) then exit 1
+  end
 
 let cmd =
   let doc = "regenerate the ihnet paper-reproduction experiment tables" in

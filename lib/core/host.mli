@@ -50,14 +50,12 @@ type wiring = {
 
 val default_wiring : wiring
 
-val create :
-  ?seed:int -> ?config:Ihnet_topology.Hostconfig.t -> ?domains:int -> ?warm:bool -> preset -> t
+val create : ?seed:int -> ?config:Ihnet_topology.Hostconfig.t -> ?domains:int -> preset -> t
 (** Builds (and validates) the topology and the fabric. [domains] is
-    the reallocation pool width and [warm] enables warm-started
-    arbitration, both forwarded to {!Ihnet_engine.Fabric.create}
-    (defaults: [IHNET_DOMAINS] from the environment, else 1 —
-    sequential; [IHNET_WARM], else on). Rates and digests are
-    bit-identical for every combination (MODEL.md §13).
+    the reallocation pool width, forwarded to
+    {!Ihnet_engine.Fabric.create} (default: [IHNET_DOMAINS] from the
+    environment, else 1 — sequential). Rates and digests are
+    bit-identical for every width (MODEL.md §13).
     @raise Invalid_argument if a custom topology fails validation. *)
 
 val sim : t -> Ihnet_engine.Sim.t

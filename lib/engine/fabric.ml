@@ -39,7 +39,7 @@ type comp_result = {
   cr_rr : float array;
   cr_load : float array; (* per resource, in c_res order *)
   cr_flows : int array; (* active flow count per resource, c_res order *)
-  cr_stats : Fairshare.stats; (* solver work this compute did (zeros when cold) *)
+  cr_stats : Fairshare.stats; (* solver work this compute did *)
 }
 
 (* Warm-start memo: one fully-computed component result, keyed by the
@@ -110,8 +110,8 @@ type t = {
   cheap : (entry * int) U.Heap.t; (* completion times, prio = absolute ns *)
   domains : int; (* requested pool width (1 = sequential) *)
   pool : U.Pool.t option; (* shared domain pool, present iff domains > 1 *)
-  (* warm-started arbitration *)
-  warm : bool; (* memoize component results + warm-start the solver *)
+  (* component-result memo and solver-work ledger *)
+  warm : bool; (* memoize component results *)
   comp_cache : (int, comp_memo list) Hashtbl.t; (* min component resource -> memos *)
   mutable cache_gen : int; (* bumped when the cache config changes *)
   mutable warm_hits : int;
@@ -221,16 +221,7 @@ let refresh_link_caps t link_id =
 let refresh_all_caps t =
   List.iter (fun (l : T.Link.t) -> refresh_link_caps t l.T.Link.id) (T.Topology.links t.topo)
 
-(* Warm-started arbitration defaults on; IHNET_WARM=0 forces the cold
-   path everywhere (the escape hatch the determinism tests use to
-   cross-check warm against cold at full fabric scale). *)
-let warm_default () =
-  match Sys.getenv_opt "IHNET_WARM" with
-  | Some ("0" | "off" | "false") -> false
-  | Some _ | None -> true
-
-let create ?(seed = 42) ?domains ?warm sim topo =
-  let warm = match warm with Some w -> w | None -> warm_default () in
+let create ?(seed = 42) ?domains ?(warm = true) sim topo =
   let domains =
     match domains with
     | Some d ->
@@ -567,13 +558,12 @@ let compute_component t (c : component) =
   and hit = Array.make (max 1 ns) (if ddio_on then 1.0 else 0.0) in
   let base = Array.map (fun e -> e.dem) c.c_entries in
   let rates = ref (Array.make nc 0.0) in
-  (* One solver state carried across the spill iterations (warm mode):
-     iteration k+1 differs from k only in the spill caps, so after the
-     spill set stabilizes — the (wb>0, rr>0) pattern is monotone under
-     the damping, so the demand count changes at most twice — each
-     re-solve takes the incremental path. Cold mode re-solves from
-     scratch; both produce bitwise-identical rates (Fairshare's
-     warm≡cold contract). *)
+  (* One solver state carried across the spill iterations: iteration
+     k+1 differs from k only in the spill caps, so after the spill set
+     stabilizes — the (wb>0, rr>0) pattern is monotone under the
+     damping, so the demand count changes at most twice — each
+     re-solve takes the incremental path, bitwise equal to a fresh
+     solve (Fairshare's bit-identity contract). *)
   let st = ref None in
   (* the spill fixed point only matters when LLC-targeted flows exist *)
   let any_llc = Array.exists (fun e -> e.flow.Flow.llc_target) c.c_entries in
@@ -589,15 +579,10 @@ let compute_component t (c : component) =
           if rr.(s) > 0.0 then spills := spill_demand rr.(s) sm.from_mem :: !spills)
       c.c_sockets;
     let demands = Array.append base (Array.of_list !spills) in
-    let all =
-      if not t.warm then Fairshare.allocate ~capacities:t.caps demands
-      else begin
-        (match !st with
-        | Some s when Fairshare.state_size s = Array.length demands -> Fairshare.reset s demands
-        | Some _ | None -> st := Some (Fairshare.make_state ~capacities:t.caps demands));
-        Fairshare.allocate_warm (Option.get !st)
-      end
-    in
+    (match !st with
+    | Some s when Fairshare.state_size s = Array.length demands -> Fairshare.reset s demands
+    | Some _ | None -> st := Some (Fairshare.make_state ~capacities:t.caps demands));
+    let all = Fairshare.allocate_warm (Option.get !st) in
     rates := Array.sub all 0 nc;
     (* recompute spill targets from the allocated LLC write rates *)
     Array.iter (fun s -> write.(s) <- 0.0) c.c_sockets;
@@ -653,10 +638,7 @@ let compute_component t (c : component) =
     cr_rr = rr;
     cr_load = Array.map (fun res -> loadb.(res)) c.c_res;
     cr_flows = Array.map (fun res -> flowsb.(res)) c.c_res;
-    cr_stats =
-      (match !st with
-      | Some s -> Fairshare.stats s
-      | None -> { Fairshare.solves = 0; full_rebuilds = 0; incremental = 0; unchanged = 0 });
+    cr_stats = Fairshare.stats (Option.get !st);
   }
 
 (* Commit one component's result into the fabric. Always runs on the
@@ -698,10 +680,11 @@ let commit_component t tnow (c : component) (r : comp_result) =
    the steady state alternates between exactly two component values,
    and after the first lap both are memoized.
 
-   All comparisons are exact: [feq] compares float bits (the recorder
-   digests raw rate bits, so -0.0 vs 0.0 or any ULP would fork the
-   trace), and the hot path is pointer equality on the immutable
-   per-entry [dem]/[conn] records. Lookups and stores run only on the
+   All comparisons are exact: demand records go through
+   [Fairshare.demand_equal] and the caps row through [feq], both on
+   float bits (the recorder digests raw rate bits, so -0.0 vs 0.0 or
+   any ULP would fork the trace), and the hot path is pointer
+   equality on the immutable per-entry [dem]/[conn] records. Lookups and stores run only on the
    coordinating domain — never from the pool. *)
 
 let feq (a : float) (b : float) = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
@@ -713,16 +696,6 @@ let int_array_eq (a : int array) (b : int array) =
      let n = Array.length a in
      let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
      go 0)
-
-let usage_eq u1 u2 =
-  u1 == u2 || List.equal (fun (r1, c1) (r2, c2) -> r1 = r2 && feq c1 c2) u1 u2
-
-let demand_eq (d1 : Fairshare.demand) (d2 : Fairshare.demand) =
-  d1 == d2
-  || (feq d1.Fairshare.weight d2.Fairshare.weight
-     && feq d1.Fairshare.floor d2.Fairshare.floor
-     && feq d1.Fairshare.cap d2.Fairshare.cap
-     && usage_eq d1.Fairshare.usage d2.Fairshare.usage)
 
 let memo_match t (c : component) (m : comp_memo) =
   let n = Array.length c.c_entries in
@@ -739,7 +712,7 @@ let memo_match t (c : component) (m : comp_memo) =
         i >= n
         || (let e = c.c_entries.(i) in
             ((m.m_conn.(i) == e.conn && m.m_dems.(i) == e.dem)
-            || (demand_eq m.m_dems.(i) e.dem && int_array_eq m.m_conn.(i) e.conn))
+            || (Fairshare.demand_equal m.m_dems.(i) e.dem && int_array_eq m.m_conn.(i) e.conn))
             && m.m_llc.(i) = e.flow.Flow.llc_target)
            && entries_ok (i + 1)
       in
@@ -914,7 +887,7 @@ let record_link_latencies t sk (c : component) =
    domain pool when one is attached and more than one component
    missed — and the results are merged in canonical component order,
    so a parallel or memoized run commits byte-identical state to a
-   sequential cold one. *)
+   sequential memo-off one. *)
 let rec reallocate t seeds =
   if t.in_batch then ()
   else reallocate_now t seeds
@@ -1340,7 +1313,7 @@ let warm_misses t = t.warm_misses
    The boundary-scan view of the fabric: every accessor below is a pure
    read of committed state. None of them syncs the lazy byte
    integration, emits an event, draws from the RNG, touches heap
-   generations or perturbs the warm solver — the zero-impact contract
+   generations or perturbs a solver state — the zero-impact contract
    the scanport-idle bench asserts. Mutable arrays are copied so a
    caller can hold a snapshot across further simulation. *)
 

@@ -40,12 +40,14 @@ val create : ?seed:int -> ?domains:int -> ?warm:bool -> Sim.t -> Ihnet_topology.
     sequential run (see "Parallel reallocation" in doc/MODEL.md). RNG
     draws and all state mutation stay on the calling domain.
 
-    [warm] enables warm-started arbitration (default: [IHNET_WARM]
-    from the environment, off only for ["0"|"off"|"false"]): component
-    results are memoized against their exact inputs and the fair-share
-    solver warm-starts across the DDIO spill iterations. Rates, counters,
-    digests and replay are bit-identical warm or cold (MODEL.md §13);
-    only the time spent computing them changes.
+    [warm] (default [true]) switches the component-result memo:
+    results are memoized against their exact inputs and replayed when
+    those inputs recur. The fair-share solver itself always keeps one
+    state per component compute and re-solves incrementally across the
+    DDIO spill iterations. Rates, counters, digests and replay are
+    bit-identical with the memo on or off (MODEL.md §13); only the time
+    spent computing them changes. Tests use the memo-off fabric as the
+    reference for the memo-on one.
     @raise Invalid_argument when [domains < 1]. *)
 
 val domains : t -> int
@@ -300,7 +302,7 @@ val warm_hits : t -> int
 
 val warm_misses : t -> int
 (** Components that had to be computed. Both counters stay 0 when
-    warm-starting is disabled. Tests use hits/misses to assert that
+    the memo is off. Tests use hits/misses to assert that
     fault, limit and config changes actually invalidate the memo. *)
 
 (** {1 Out-of-band scan exposition}
@@ -311,7 +313,7 @@ val warm_misses : t -> int
     ({!link_bytes} &c., which run the lazy byte integration and may
     emit [Synced]), a scan never advances [last_update], never emits an
     event, never draws from the RNG, never bumps completion-heap
-    generations and never touches the warm solver — so a run scanned at
+    generations and never touches a solver state — so a run scanned at
     every epoch stays bit-identical to a bare run. Mutable arrays are
     returned as copies. *)
 
@@ -374,12 +376,14 @@ val scan_completion_heap : t -> (Ihnet_util.Units.ns * int * int * bool) list
 
 val scan_memo_keys : t -> (int * int * int) list
 (** Warm-start memo occupancy: [(bucket_key, entries, last_hit_epoch)]
-    per memo, sorted. Empty when warm-starting is off — a
-    microarchitectural register, legitimately different warm vs cold. *)
+    per memo, sorted. Empty when the memo is off — a
+    microarchitectural register, legitimately different memo on vs
+    off. *)
 
 val scan_solver_stats : t -> Fairshare.stats
-(** Cumulative warm-solver work across all component computes (zeros
-    when cold — also microarchitectural). *)
+(** Cumulative solver work across all component computes. Memo hits
+    replay a result without solving, so these counts differ memo on vs
+    off — also microarchitectural. *)
 
 val step_epoch : t -> bool
 (** Single-step the simulation by one reallocation epoch: execute

@@ -178,218 +178,14 @@ let allocate_reference ~capacities demands =
   done;
   rates
 
-(* {1 Event-driven implementation}
-
-   Same progressive filling, computed as a discrete-event sweep over a
-   virtual fill time τ. While active, demand i's rate is
-   rate_i(τ) = start_i + w_i·τ, so the next constraint it can hit is
-   known in closed form: a cap hit at τ = (cap_i − start_i)/w_i, and a
-   resource saturation at τ = τ_r + residual_r/speed_r. Both event
-   kinds go into one min-heap; processing an event freezes demands and
-   lowers the growth speed of exactly the resources they use (found
-   via a resource→demand incidence index).
-
-   Saturation events use lazy re-insert: each resource keeps at most
-   one event in the heap, stamped with the resource's version at push
-   time. A freeze bumps the versions of the resources it touches
-   without pushing anything; when a stale event reaches the top it is
-   re-keyed from the current residual and re-pushed. This is sound
-   because speeds only ever decrease, so the true saturation time only
-   moves later — a stale event fires early, never late.
-
-   Each demand freezes once and each resource saturates at most once,
-   so the total work is O((n + Σ|usage|) · log) plus O(nr) array
-   setup — linear in the touched contention component rather than
-   quadratic in the demand count. *)
-
 type fill_event = Cap of int | Sat of int * int (* resource, version at push *)
 
-let allocate ~capacities demands =
-  let nr = Array.length capacities in
-  let n = Array.length demands in
-  (* Flatten usages into CSR form in one pass: every later sweep reads
-     flat int/float arrays instead of chasing boxed tuple lists. The
-     seeding below re-states the seed_rates law over the CSR arrays —
-     any divergence is caught by the differential property test. *)
-  let off = Array.make (n + 1) 0 in
-  Array.iteri (fun i d -> off.(i + 1) <- List.length d.usage) demands;
-  for i = 0 to n - 1 do
-    off.(i + 1) <- off.(i + 1) + off.(i)
-  done;
-  let m = off.(n) in
-  let ures = Array.make (max 1 m) 0 in
-  let ucoef = Array.make (max 1 m) 0.0 in
-  let weight = Array.make (max 1 n) 0.0 in
-  let cap = Array.make (max 1 n) 0.0 in
-  let k = ref 0 in
-  (* validation is fused into the CSR fill so each usage list is
-     traversed exactly once. The fast path is one combined comparison
-     (NaN-rejecting: a NaN compares false and falls through); only the
-     failing branch calls [check_demand], which re-scans the demand and
-     raises [Invalid_argument] naming the exact offending field. *)
-  Array.iteri
-    (fun i d ->
-      if not (d.weight > 0.0 && d.floor >= 0.0 && d.cap >= 0.0) then check_demand ~nr i d;
-      weight.(i) <- d.weight;
-      cap.(i) <- d.cap;
-      List.iter
-        (fun (r, c) ->
-          if not (r >= 0 && r < nr && c > 0.0) then check_demand ~nr i d;
-          ures.(!k) <- r;
-          ucoef.(!k) <- c;
-          incr k)
-        d.usage)
-    demands;
-  (* seed rates: floors, clipped by caps, scaled down locally where
-     jointly infeasible (same law as seed_rates) *)
-  let rates = Array.make (max 1 n) 0.0 in
-  for i = 0 to n - 1 do
-    rates.(i) <- Float.min demands.(i).floor cap.(i)
-  done;
-  let load = Array.make nr 0.0 in
-  for i = 0 to n - 1 do
-    for j = off.(i) to off.(i + 1) - 1 do
-      load.(ures.(j)) <- load.(ures.(j)) +. (rates.(i) *. ucoef.(j))
-    done
-  done;
-  let any_over = ref false in
-  let scale = Array.make nr 1.0 in
-  for r = 0 to nr - 1 do
-    if load.(r) > capacities.(r) then begin
-      any_over := true;
-      scale.(r) <- (if load.(r) > 0.0 then capacities.(r) /. load.(r) else 0.0)
-    end
-  done;
-  if !any_over then
-    for i = 0 to n - 1 do
-      let f = ref 1.0 in
-      for j = off.(i) to off.(i + 1) - 1 do
-        f := Float.min !f scale.(ures.(j))
-      done;
-      if !f < 1.0 then rates.(i) <- rates.(i) *. !f
-    done;
-  let active = Array.make (max 1 n) false in
-  for i = 0 to n - 1 do
-    if off.(i + 1) = off.(i) then rates.(i) <- cap.(i)
-    else active.(i) <- rates.(i) < cap.(i) -. eps
-  done;
-  (* resource → usage-entry incidence, CSR again *)
-  let inc_off = Array.make (nr + 1) 0 in
-  for j = 0 to m - 1 do
-    inc_off.(ures.(j) + 1) <- inc_off.(ures.(j) + 1) + 1
-  done;
-  for r = 0 to nr - 1 do
-    inc_off.(r + 1) <- inc_off.(r + 1) + inc_off.(r)
-  done;
-  let inc_d = Array.make (max 1 m) 0 in
-  let cursor = Array.copy inc_off in
-  for i = 0 to n - 1 do
-    for j = off.(i) to off.(i + 1) - 1 do
-      let r = ures.(j) in
-      inc_d.(cursor.(r)) <- i;
-      cursor.(r) <- cursor.(r) + 1
-    done
-  done;
-  let saturated = Array.make nr false in
-  let speed = Array.make nr 0.0 in
-  let tau_r = Array.make nr 0.0 in
-  let version = Array.make nr 0 in
-  Array.fill load 0 nr 0.0;
-  for i = 0 to n - 1 do
-    for j = off.(i) to off.(i + 1) - 1 do
-      let r = ures.(j) in
-      load.(r) <- load.(r) +. (rates.(i) *. ucoef.(j));
-      if active.(i) then speed.(r) <- speed.(r) +. (weight.(i) *. ucoef.(j))
-    done
-  done;
-  let start_rate = Array.copy rates in
-  let tau = ref 0.0 in
-  let events : fill_event U.Heap.t = U.Heap.create () in
-  let push_sat r =
-    if (not saturated.(r)) && speed.(r) > eps then begin
-      let residual = capacities.(r) -. load.(r) in
-      let at = if residual <= 0.0 then !tau else tau_r.(r) +. (residual /. speed.(r)) in
-      U.Heap.push events (Float.max at !tau) (Sat (r, version.(r)))
-    end
-  in
-  (* bring load.(r) forward to virtual time [at] *)
-  let touch r at =
-    if at > tau_r.(r) then begin
-      load.(r) <- load.(r) +. (speed.(r) *. (at -. tau_r.(r)));
-      tau_r.(r) <- at
-    end
-  in
-  let freeze i at =
-    if active.(i) then begin
-      active.(i) <- false;
-      rates.(i) <- Float.min cap.(i) (start_rate.(i) +. (weight.(i) *. at));
-      for j = off.(i) to off.(i + 1) - 1 do
-        let r = ures.(j) in
-        touch r at;
-        speed.(r) <- speed.(r) -. (weight.(i) *. ucoef.(j));
-        (* invalidate r's in-heap saturation event; it will be
-           re-keyed lazily if it surfaces before r saturates *)
-        version.(r) <- version.(r) + 1
-      done
-    end
-  in
-  for i = 0 to n - 1 do
-    if active.(i) && cap.(i) < infinity then
-      U.Heap.push events ((cap.(i) -. rates.(i)) /. weight.(i)) (Cap i)
-  done;
-  for r = 0 to nr - 1 do
-    push_sat r
-  done;
-  let continue = ref true in
-  while !continue do
-    match U.Heap.pop events with
-    | None -> continue := false
-    | Some (at, Cap i) ->
-      if active.(i) then begin
-        tau := Float.max !tau at;
-        freeze i !tau
-      end
-    | Some (at, Sat (r, v)) ->
-      if not saturated.(r) then begin
-        if v = version.(r) then begin
-          (* no incident freeze since push: the key is exact *)
-          tau := Float.max !tau at;
-          saturated.(r) <- true;
-          touch r !tau;
-          for jj = inc_off.(r) to inc_off.(r + 1) - 1 do
-            let i = inc_d.(jj) in
-            if active.(i) then freeze i !tau
-          done
-        end
-        else
-          (* speeds dropped since push, so r saturates later (or
-             never); re-key from the current residual *)
-          push_sat r
-      end
-  done;
-  (* anything still active is unconstrained (possible only when every
-     resource it uses has vanishing growth speed); freeze defensively
-     at the current front, as the reference does *)
-  for i = 0 to n - 1 do
-    if active.(i) then begin
-      active.(i) <- false;
-      rates.(i) <- Float.min cap.(i) (start_rate.(i) +. (weight.(i) *. !tau))
-    end
-  done;
-  if Array.length rates = n then rates else Array.sub rates 0 n
+(* {1 Solver state}
 
-let max_min_fair ~capacities usages =
-  let demands =
-    Array.map (fun usage -> { weight = 1.0; floor = 0.0; cap = infinity; usage }) usages
-  in
-  allocate ~capacities demands
-
-(* {1 Warm-started state}
-
-   [allocate] above rebuilds everything — CSR, incidence, seeds — on
-   every call, which is the right shape for one-shot use but wasteful
-   when the fabric re-arbitrates the same component on every churn
-   event. A [state] persists across solves:
+   [allocate] is one solve on a fresh [state]. The fabric keeps a
+   state across the DDIO spill iterations of a component, so a
+   re-solve after a small parameter change re-derives only what the
+   change reaches. A [state] holds:
 
    - the CSR usage arrays and the resource→demand incidence (rebuilt
      only on a structural change: demand count or any usage list);
@@ -400,21 +196,22 @@ let max_min_fair ~capacities usages =
    - the working arrays and the event min-heap of the τ-sweep, which
      are overwritten (not reallocated) by every solve.
 
-   Bit-identity with the cold path is load-bearing (the fabric's
-   determinism contract, MODEL.md §12–13), and rests on three facts:
+   An incremental solve returns bitwise the rates a fresh state would.
+   This is load-bearing (the fabric's determinism contract, MODEL.md
+   §12–13), and rests on three facts:
 
    1. Per-resource accumulators (floor load, initial load/speed)
-      re-computed by an incidence scan equal the cold demand-major
+      re-computed by an incidence scan equal [full_seed]'s demand-major
       accumulation bitwise: the incidence index is built by a cursor
       sweep in demand-major order, so for any fixed resource the
       additions happen in exactly the same order, and float addition
       order is all that matters.
    2. The seed of one demand is a pure function of its own
       (floor, cap) and the scale factors of the resources it uses;
-      cold's [if any_over] guard is equivalent to the per-demand
+      [full_seed]'s [if any_over] guard is equivalent to the per-demand
       f = 1.0 no-op, so re-deriving only affected demands is exact.
    3. The heap's tie-break uses relative insertion order only, so a
-      cleared, reused heap replays cold's tie-breaks exactly.
+      cleared, reused heap replays a fresh heap's tie-breaks exactly.
 
    Dirty tracking is value-based with exact (bitwise) float compares —
    [feq] below distinguishes -0.0 from 0.0, because Float.min does,
@@ -424,6 +221,13 @@ let feq (a : float) (b : float) = Int64.equal (Int64.bits_of_float a) (Int64.bit
 
 let usage_eq u1 u2 =
   u1 == u2 || List.equal (fun (r1, c1) (r2, c2) -> r1 = r2 && feq c1 c2) u1 u2
+
+let demand_equal d1 d2 =
+  d1 == d2
+  || (feq d1.weight d2.weight
+     && feq d1.floor d2.floor
+     && feq d1.cap d2.cap
+     && usage_eq d1.usage d2.usage)
 
 type state = {
   nr : int;
@@ -543,27 +347,17 @@ let set_demand st i d =
   if i < 0 || i >= st.n then invalidf "Fairshare.set_demand: index %d out of range" i;
   check_demand ~nr:st.nr i d;
   let old = st.dems.(i) in
-  if old != d then
-    if not (usage_eq old.usage d.usage) then begin
-      st.dems.(i) <- d;
-      st.structural <- true;
-      st.clean <- false
+  st.dems.(i) <- d;
+  if not (demand_equal old d) then begin
+    st.clean <- false;
+    if not (usage_eq old.usage d.usage) then st.structural <- true
+    else if st.seeded && not st.structural then begin
+      st.weight.(i) <- d.weight;
+      st.floor.(i) <- d.floor;
+      st.dcap.(i) <- d.cap;
+      U.Vec.push st.dirty_dem i
     end
-    else begin
-      let changed =
-        not (feq old.weight d.weight && feq old.floor d.floor && feq old.cap d.cap)
-      in
-      st.dems.(i) <- d;
-      if changed then begin
-        st.clean <- false;
-        if st.seeded && not st.structural then begin
-          st.weight.(i) <- d.weight;
-          st.floor.(i) <- d.floor;
-          st.dcap.(i) <- d.cap;
-          U.Vec.push st.dirty_dem i
-        end
-      end
-    end
+  end
 
 let set_capacity st r v =
   if r < 0 || r >= st.nr then invalidf "Fairshare.set_capacity: resource %d out of range" r;
@@ -583,9 +377,9 @@ let reset st demands =
   else Array.iteri (fun i d -> set_demand st i d) demands
 
 (* Rebuild the CSR usage arrays, parameter mirrors, and the incidence
-   index from [st.dems]. Mirrors the cold path's build exactly; local
-   arrays are committed only once fully built, so a validation raise
-   leaves the state consistent (still structural). *)
+   index from [st.dems]. Local arrays are committed only once fully
+   built, so a validation raise leaves the state consistent (still
+   structural). *)
 let rebuild st =
   let n = st.n and nr = st.nr in
   let off = Array.make (n + 1) 0 in
@@ -600,14 +394,20 @@ let rebuild st =
   let floor_ = Array.make (max 1 n) 0.0 in
   let dcap = Array.make (max 1 n) 0.0 in
   let k = ref 0 in
+  (* validation is fused into the CSR fill so each usage list is
+     traversed exactly once. The fast path is one combined comparison
+     (NaN-rejecting: a NaN compares false and falls through); only the
+     failing branch calls [check_demand], which re-scans the demand and
+     raises [Invalid_argument] naming the exact offending field. *)
   Array.iteri
-    (fun i d ->
-      check_demand ~nr i d;
+    (fun i (d : demand) ->
+      if not (d.weight > 0.0 && d.floor >= 0.0 && d.cap >= 0.0) then check_demand ~nr i d;
       weight.(i) <- d.weight;
       floor_.(i) <- d.floor;
       dcap.(i) <- d.cap;
       List.iter
         (fun (r, c) ->
+          if not (r >= 0 && r < nr && c > 0.0) then check_demand ~nr i d;
           ures.(!k) <- r;
           ucoef.(!k) <- c;
           incr k)
@@ -660,8 +460,11 @@ let rebuild st =
   st.seeded <- false;
   st.structural <- false
 
-(* Full seed-phase pass, demand-major, in exactly the cold path's
-   order of float operations. *)
+(* Full seed-phase pass: the [seed_rates] law restated over the CSR
+   arrays (floors, clipped by caps, scaled down locally where jointly
+   infeasible), accumulated demand-major. Any divergence from
+   [seed_rates] is caught by the differential test against
+   [allocate_reference]. *)
 let full_seed st =
   let n = st.n and nr = st.nr in
   let off = st.off and ures = st.ures and ucoef = st.ucoef in
@@ -718,7 +521,7 @@ let full_seed st =
    seed rate and active bit of every demand on a rescaled (or dirty)
    resource → initial load/speed of every resource those demands use.
    Per-resource recomputation scans the incidence index, whose order
-   matches the cold demand-major accumulation (see the module
+   matches [full_seed]'s demand-major accumulation (see the section
    comment), so unchanged inputs reproduce the exact same bits. *)
 let incremental_seed st =
   let off = st.off and ures = st.ures in
@@ -814,8 +617,30 @@ let incremental_seed st =
       st.speed0.(r) <- !sp)
     st.dd_res
 
-(* The τ-sweep of the cold path, verbatim, run over the working
-   copies of the persistent seed arrays. *)
+(* The τ-sweep: the reference's progressive filling, computed as a
+   discrete-event sweep over a virtual fill time τ. While active,
+   demand i's rate is rate_i(τ) = start_i + w_i·τ, so the next
+   constraint it can hit is known in closed form: a cap hit at
+   τ = (cap_i − start_i)/w_i, and a resource saturation at
+   τ = τ_r + residual_r/speed_r. Both event kinds go into one min-heap; processing an event freezes demands and
+   lowers the growth speed of exactly the resources they use (found
+   via a resource→demand incidence index).
+
+   Saturation events use lazy re-insert: each resource keeps at most
+   one event in the heap, stamped with the resource's version at push
+   time. A freeze bumps the versions of the resources it touches
+   without pushing anything; when a stale event reaches the top it is
+   re-keyed from the current residual and re-pushed. This is sound
+   because speeds only ever decrease, so the true saturation time only
+   moves later — a stale event fires early, never late.
+
+   Each demand freezes once and each resource saturates at most once,
+   so the total work is O((n + Σ|usage|) · log) plus O(nr) array
+   setup — linear in the touched contention component rather than
+   quadratic in the demand count.
+
+   The sweep runs over working copies of the persistent seed arrays,
+   so a state can be swept again after an incremental reseed. *)
 let sweep st =
   let n = st.n and nr = st.nr in
   let off = st.off and ures = st.ures and ucoef = st.ucoef in
@@ -844,6 +669,7 @@ let sweep st =
       U.Heap.push events (Float.max at !tau) (Sat (r, version.(r)))
     end
   in
+  (* bring load.(r) forward to virtual time [at] *)
   let touch r at =
     if at > tau_r.(r) then begin
       load.(r) <- load.(r) +. (speed.(r) *. (at -. tau_r.(r)));
@@ -858,6 +684,8 @@ let sweep st =
         let r = ures.(j) in
         touch r at;
         speed.(r) <- speed.(r) -. (weight.(i) *. ucoef.(j));
+        (* invalidate r's in-heap saturation event; it will be
+           re-keyed lazily if it surfaces before r saturates *)
         version.(r) <- version.(r) + 1
       done
     end
@@ -881,6 +709,7 @@ let sweep st =
     | Some (at, Sat (r, v)) ->
       if not saturated.(r) then begin
         if v = version.(r) then begin
+          (* no incident freeze since push: the key is exact *)
           tau := Float.max !tau at;
           saturated.(r) <- true;
           touch r !tau;
@@ -889,9 +718,15 @@ let sweep st =
             if active.(i) then freeze i !tau
           done
         end
-        else push_sat r
+        else
+          (* speeds dropped since push, so r saturates later (or
+             never); re-key from the current residual *)
+          push_sat r
       end
   done;
+  (* anything still active is unconstrained (possible only when every
+     resource it uses has vanishing growth speed); freeze defensively
+     at the current front, as the reference does *)
   for i = 0 to n - 1 do
     if active.(i) then begin
       active.(i) <- false;
@@ -925,3 +760,11 @@ let allocate_warm st =
     st.clean <- true;
     Array.sub st.rates 0 st.n
   end
+
+let allocate ~capacities demands = allocate_warm (make_state ~capacities demands)
+
+let max_min_fair ~capacities usages =
+  let demands =
+    Array.map (fun usage -> { weight = 1.0; floor = 0.0; cap = infinity; usage }) usages
+  in
+  allocate ~capacities demands

@@ -35,11 +35,14 @@ val allocate : capacities:float array -> demand array -> float array
 
     Demands with an empty [usage] get their cap.
 
-    Implementation: an event-driven sweep over the progressive-filling
-    front — next cap hits and next resource saturations live in one
-    min-heap, and each event touches only the demands incident to the
-    frozen resource. O((n + Σ|usage|) log n) rather than the
-    reference's O(n · (n + Σ|usage|)). *)
+    [allocate ~capacities demands] is exactly
+    [allocate_warm (make_state ~capacities demands)]: one solve on a
+    fresh {!state}. The solve is an event-driven sweep over the
+    progressive-filling front — next cap hits and next resource
+    saturations live in one min-heap, and each event touches only the
+    demands incident to the frozen resource. O((n + Σ|usage|) log n)
+    plus O(nr) array setup, rather than the reference's
+    O(n · (n + Σ|usage|)). *)
 
 val allocate_reference : capacities:float array -> demand array -> float array
 (** The original round-based progressive-filling implementation,
@@ -60,7 +63,14 @@ val validate : capacities:float array -> demand array -> unit
     perform the same checks — with a real raise, not [assert], so they
     survive [-noassert] builds. *)
 
-(** {1 Warm-started solving}
+val demand_equal : demand -> demand -> bool
+(** Bitwise value equality: weight, floor and cap compared by their
+    float bits (so [-0.0] and [0.0] differ), usage lists entry by
+    entry, with a physical-equality fast path. This is the one "same
+    demand?" decision: {!set_demand} uses it to skip no-op stores and
+    the fabric's component memo uses it to match cached inputs. *)
+
+(** {1 Solver state}
 
     A {!state} persists the solver's derived structures between calls:
     the flattened CSR usage arrays, the resource→demand incidence, the
@@ -72,11 +82,12 @@ val validate : capacities:float array -> demand array -> unit
     reachable from the change; anything structural (demand count, any
     usage list) triggers a full rebuild.
 
-    {b Bit-identity:} for any state contents, [allocate_warm] returns
-    bitwise the same rates as a cold [allocate ~capacities demands]
-    over the state's current capacities and demands. This is part of
-    the fabric's determinism contract (MODEL.md §13) and is enforced
-    by a 1000-case differential property test. *)
+    {b Bit-identity:} for any history of updates, [allocate_warm]
+    returns bitwise the same rates as a fresh state over the state's
+    current capacities and demands (that is, as
+    [allocate ~capacities demands]). This is part of the fabric's
+    determinism contract (MODEL.md §13) and is enforced by a 1000-case
+    differential property test. *)
 
 type state
 
@@ -87,8 +98,8 @@ val make_state : capacities:float array -> demand array -> state
     Validation of the demands happens on the first solve. *)
 
 val set_demand : state -> int -> demand -> unit
-(** Replace demand [i]. Equal-valued replacements (in particular the
-    same physical record) are free no-ops; weight/floor/cap changes
+(** Replace demand [i]. Replacements equal under {!demand_equal} (in
+    particular the same physical record) are free no-ops; weight/floor/cap changes
     take the incremental path; a changed usage list marks the state
     structural. @raise Invalid_argument on a bad index or demand. *)
 
@@ -103,7 +114,7 @@ val reset : state -> demand array -> unit
 
 val allocate_warm : state -> float array
 (** Solve over the state's current capacities and demands; returns a
-    fresh rates array (same contract as {!allocate}, bitwise). Clean
+    fresh rates array (the contract of {!allocate}). Clean
     re-solves (no input changed since the last call) return the cached
     solution without sweeping. *)
 

@@ -29,11 +29,11 @@ let find id =
   let id = String.uppercase_ascii id in
   List.assoc_opt id all
 
-let contains_mismatch verdict =
-  let needle = "MISMATCH" in
+let reproduced (r : Common.result) =
+  let verdict = r.Common.verdict and needle = "MISMATCH" in
   let n = String.length verdict and m = String.length needle in
   let rec go i = i + m <= n && (String.sub verdict i m = needle || go (i + 1)) in
-  go 0
+  not (go 0)
 
 let run_all () =
   let results =
@@ -54,12 +54,12 @@ let run_all () =
         [
           r.Common.id;
           r.Common.title;
-          (if contains_mismatch r.Common.verdict then "MISMATCH" else "reproduced");
+          (if reproduced r then "reproduced" else "MISMATCH");
         ])
     results;
   print_newline ();
   Ihnet_util.Table.print summary;
-  let bad = List.length (List.filter (fun r -> contains_mismatch r.Common.verdict) results) in
+  let bad = List.length (List.filter (fun r -> not (reproduced r)) results) in
   Printf.printf "%d/%d experiments reproduce their paper claims\n" (List.length results - bad)
     (List.length results);
   results

@@ -4,7 +4,7 @@
    scanport-idle bench pins down. The register chain is emitted in one
    canonical order so two captures of bit-identical fabrics produce
    byte-identical snapshots (and digests) whatever the domain pool
-   width or warm/cold solver mode. *)
+   width or whether the component memo is on. *)
 
 module E = Ihnet_engine
 module T = Ihnet_topology

@@ -4,7 +4,7 @@
     The boundary-scan idea from JTAG, applied to the intra-host
     fabric: a side-band TAP that reads every interesting register —
     rate tables, byte counters, DDIO state, flow and completion-heap
-    internals, warm-solver counters, remediation state machines,
+    internals, memo and solver counters, remediation state machines,
     evidence windows, latency-sketch planes — without going through
     the normal (telemetry) bus. Where a replay divergence names the
     first bad {e epoch}, diffing two scan snapshots names the first
@@ -14,17 +14,17 @@
     the [scan_*] exposition ({!Ihnet_engine.Fabric}, §scan): it never
     runs the lazy byte integration, never emits a fabric event, never
     draws from the RNG, never bumps heap generations and never touches
-    warm-solver state. A run scanned at every epoch is bit-identical —
+    solver state. A run scanned at every epoch is bit-identical —
     digests, goldens, replay fingerprints — to a bare run; the
     [scanport-idle] bench subject asserts exactly that and CI gates
     it.
 
     {b Arch vs micro registers.} Registers are tagged:
     [`Arch] registers are part of the determinism contract — equal
-    across [IHNET_DOMAINS] ∈ {1,2,4} and warm vs cold solver.
-    [`Micro] registers (memo occupancy, warm hit/miss and solver-work
-    counters) describe how the answer was produced and legitimately
-    differ warm vs cold; they are excluded from {!val-digest} and from
+    across [IHNET_DOMAINS] ∈ {1,2,4} and with the component memo on or
+    off. [`Micro] registers (memo occupancy, memo hit/miss and
+    solver-work counters) describe how the answer was produced and
+    legitimately differ memo on vs off; they are excluded from {!val-digest} and from
     the default {!diff}. *)
 
 (** {1 Scan records} *)
@@ -98,8 +98,8 @@ type mismatch = {
 val diff : ?scope:[ `Arch | `All ] -> snapshot -> snapshot -> mismatch option
 (** First divergent register between two snapshots, or [None] when
     every compared register matches exactly (floats by bits). The
-    default scope [`Arch] compares only contract registers, so a warm
-    and a cold snapshot of the same run diff clean; [`All] includes
+    default scope [`Arch] compares only contract registers, so
+    memo-on and memo-off snapshots of the same run diff clean; [`All] includes
     the microarchitectural ones. Registers present on one side only
     count as divergent ([d_left]/[d_right] = ["<absent>"]). *)
 

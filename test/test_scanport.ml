@@ -1,7 +1,8 @@
 (* Out-of-band scanport tests: codec round-trip, diff semantics,
    freeze/single-step, and the differential determinism property — the
    scan chain (and its digest) must be bit-identical across
-   reallocation pool widths and warm vs cold solver. *)
+   reallocation pool widths and with the component memo on or off
+   ([~warm]). *)
 
 module U = Ihnet_util
 module T = Ihnet_topology
@@ -181,7 +182,7 @@ let unit_tests =
 (* {1 The differential property}
 
    One random command script, five fabric configurations: pool widths
-   1/2/4 warm, plus cold at widths 1 and 4. Every snapshot must carry
+   1/2/4 with the memo on, plus memo off at widths 1 and 4. Every snapshot must carry
    the same architectural chain — equal digests and a clean default
    diff — and round-trip through the codec. *)
 
@@ -189,7 +190,7 @@ let gen_ops = QCheck.(list_of_size Gen.(int_range 1 24) (int_bound 120))
 
 let property_tests =
   [
-    prop "scan chain is identical across domains and warm/cold" gen_ops (fun ops ->
+    prop "scan chain is identical across domains and memo on/off" gen_ops (fun ops ->
         let reference = scan_after ~domains:1 ops in
         let variants =
           [

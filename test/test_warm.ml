@@ -1,7 +1,8 @@
-(* Warm-started solver: differential properties and invalidation
-   units. The warm path must be BIT-identical to the cold path — not
-   merely close — because the fabric's determinism contract digests
-   the output rates (MODEL.md §12–13). *)
+(* Solver state: differential properties and invalidation units. A
+   state re-solved incrementally after updates must be BIT-identical
+   to a fresh state over the same inputs — not merely close — because
+   the fabric's determinism contract digests the output rates
+   (MODEL.md §12–13). *)
 
 module E = Ihnet_engine
 
@@ -90,8 +91,8 @@ let print_case (caps, demands, epochs) =
   Buffer.add_string b "]";
   Buffer.contents b
 
-(* Apply one update to both the warm state and the mirror the cold
-   solver sees; they must stay in lockstep. *)
+(* Apply one update to both the long-lived state and the mirror a
+   fresh state is built from; they must stay in lockstep. *)
 let apply st caps (dems : E.Fairshare.demand array ref) u =
   let n = Array.length !dems and nr = Array.length caps in
   match u with
@@ -126,11 +127,13 @@ let apply st caps (dems : E.Fairshare.demand array ref) u =
 
 let warm_props =
   [
-    (* The tentpole's correctness gate: arbitrary update sequences
-       through the warm state agree bitwise with a from-scratch cold
-       solve, and the cold solve agrees with the round-based oracle to
-       1e-6 — so warm ≡ cold ≡ reference. *)
-    prop "warm ≡ cold (bitwise) ≡ reference across random update sequences" ~count:1000
+    (* The solver's correctness gate: arbitrary update sequences
+       through one long-lived state agree bitwise with a fresh state
+       over the same inputs ([allocate]), and the fresh solve agrees
+       with the round-based oracle to 1e-6 — so incremental ≡ fresh ≡
+       reference. *)
+    prop "incremental state ≡ fresh state (bitwise) ≡ reference across random update sequences"
+      ~count:1000
       (QCheck.make ~print:print_case gen_case)
       (fun (caps0, demands0, epochs) ->
         let caps = Array.copy caps0 in
@@ -139,18 +142,18 @@ let warm_props =
         List.for_all
           (fun updates ->
             List.iter (apply st caps dems) updates;
-            let warm = E.Fairshare.allocate_warm st in
-            let cold = E.Fairshare.allocate ~capacities:caps !dems in
+            let incremental = E.Fairshare.allocate_warm st in
+            let fresh = E.Fairshare.allocate ~capacities:caps !dems in
             let oracle = E.Fairshare.allocate_reference ~capacities:caps !dems in
-            Array.length warm = Array.length cold
-            && Array.for_all2 bits_eq warm cold
+            Array.length incremental = Array.length fresh
+            && Array.for_all2 bits_eq incremental fresh
             && Array.for_all2
                  (fun a b ->
                    Float.abs (a -. b)
                    <= 1e-6 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b)))
-                 cold oracle)
+                 fresh oracle)
           epochs);
-    prop "reset diffs against the live vector and stays bitwise-cold" ~count:300
+    prop "reset diffs against the live vector and matches a fresh state bitwise" ~count:300
       (QCheck.make ~print:print_case gen_case)
       (fun (caps, demands, _) ->
         let st = E.Fairshare.make_state ~capacities:caps demands in
@@ -169,10 +172,11 @@ let warm_props =
 
 let d w f c u = { E.Fairshare.weight = w; floor = f; cap = c; usage = u }
 
-let check_vs_cold st caps dems =
-  let warm = E.Fairshare.allocate_warm st in
-  let cold = E.Fairshare.allocate ~capacities:caps dems in
-  Alcotest.(check bool) "warm matches cold bitwise" true (Array.for_all2 bits_eq warm cold)
+let check_vs_fresh st caps dems =
+  let incremental = E.Fairshare.allocate_warm st in
+  let fresh = E.Fairshare.allocate ~capacities:caps dems in
+  Alcotest.(check bool) "state matches a fresh state bitwise" true
+    (Array.for_all2 bits_eq incremental fresh)
 
 let test_invalidation_fires () =
   let caps = [| 100.0; 50.0; 80.0 |] in
@@ -184,34 +188,34 @@ let test_invalidation_fires () =
     |]
   in
   let st = E.Fairshare.make_state ~capacities:caps dems in
-  check_vs_cold st caps dems;
+  check_vs_fresh st caps dems;
   let s1 = E.Fairshare.stats st in
   Alcotest.(check int) "first solve is a full rebuild" 1 s1.E.Fairshare.full_rebuilds;
   (* clean re-solve: answered from cache *)
-  check_vs_cold st caps dems;
+  check_vs_fresh st caps dems;
   Alcotest.(check int) "clean re-solve is a no-op" 1 (E.Fairshare.stats st).E.Fairshare.unchanged;
   (* capacity perturbation must invalidate and take the incremental path *)
   caps.(1) <- 40.0;
   E.Fairshare.set_capacity st 1 40.0;
-  check_vs_cold st caps dems;
+  check_vs_fresh st caps dems;
   Alcotest.(check int) "capacity change takes the incremental path" 1
     (E.Fairshare.stats st).E.Fairshare.incremental;
   (* floor perturbation (re-floored flow) *)
   dems.(0) <- d 1.0 60.0 infinity [ (0, 1.0); (1, 1.0) ];
   E.Fairshare.set_demand st 0 dems.(0);
-  check_vs_cold st caps dems;
+  check_vs_fresh st caps dems;
   Alcotest.(check int) "floor change takes the incremental path" 2
     (E.Fairshare.stats st).E.Fairshare.incremental;
   (* cap perturbation *)
   dems.(1) <- d 2.0 0.0 10.0 [ (0, 1.0); (2, 1.2) ];
   E.Fairshare.set_demand st 1 dems.(1);
-  check_vs_cold st caps dems;
+  check_vs_fresh st caps dems;
   Alcotest.(check int) "cap change takes the incremental path" 3
     (E.Fairshare.stats st).E.Fairshare.incremental;
   (* usage change is structural: full rebuild *)
   dems.(2) <- d 1.0 5.0 infinity [ (0, 1.0); (1, 1.0); (2, 1.0) ];
   E.Fairshare.set_demand st 2 dems.(2);
-  check_vs_cold st caps dems;
+  check_vs_fresh st caps dems;
   let s = E.Fairshare.stats st in
   Alcotest.(check int) "usage change forces a full rebuild" 2 s.E.Fairshare.full_rebuilds;
   Alcotest.(check int) "no spurious extra solves" 6 s.E.Fairshare.solves
@@ -265,6 +269,28 @@ let test_validate_raises () =
       ("weight=nan", nan_weight);
     ]
 
+(* A state owns copies of its inputs: neither a one-shot [allocate]
+   nor a long-lived state's [set_capacity] may write through to the
+   caller's arrays. The fabric passes its live [caps] row to
+   [make_state], so an aliasing state would corrupt the fabric. *)
+let test_inputs_not_aliased () =
+  let caps = [| 100.0; 50.0 |] in
+  let dems = [| d 1.0 10.0 infinity [ (0, 1.0); (1, 1.0) ]; d 2.0 0.0 30.0 [ (0, 1.2) ] |] in
+  let caps0 = Array.copy caps and dems0 = Array.copy dems in
+  let unchanged label =
+    Alcotest.(check bool) (label ^ ": capacities unchanged") true (Array.for_all2 bits_eq caps caps0);
+    Alcotest.(check bool) (label ^ ": demands unchanged") true (Array.for_all2 ( == ) dems dems0)
+  in
+  ignore (E.Fairshare.allocate ~capacities:caps dems);
+  unchanged "allocate";
+  let st = E.Fairshare.make_state ~capacities:caps dems in
+  ignore (E.Fairshare.allocate_warm st);
+  E.Fairshare.set_capacity st 0 7.0;
+  E.Fairshare.set_capacity st 1 3.0;
+  E.Fairshare.set_demand st 1 (d 4.0 1.0 20.0 [ (1, 1.0) ]);
+  ignore (E.Fairshare.allocate_warm st);
+  unchanged "make_state + set_capacity"
+
 let unit_tests =
   [
     Alcotest.test_case "invalidation fires on capacity/floor/cap/usage perturbations" `Quick
@@ -273,6 +299,8 @@ let unit_tests =
       test_noop_updates_stay_clean;
     Alcotest.test_case "validate raises Invalid_argument (survives -noassert)" `Quick
       test_validate_raises;
+    Alcotest.test_case "allocate and set_capacity never write through to the inputs" `Quick
+      test_inputs_not_aliased;
   ]
 
 (* {1 Fabric level: the component-result memo and its invalidation}
@@ -367,19 +395,32 @@ let test_fabric_invalidation () =
   churn fab p;
   Alcotest.(check int) "re-converged to hits" m0 (E.Fabric.warm_misses fab)
 
-let test_fabric_cold_counters_stay_zero () =
+let test_fabric_memo_off_counters_stay_zero () =
   let fab, p = loaded_fabric ~warm:false () in
-  Alcotest.(check bool) "warm disabled" false (E.Fabric.warm_enabled fab);
+  Alcotest.(check bool) "memo disabled" false (E.Fabric.warm_enabled fab);
   for _ = 1 to 3 do
     churn fab p
   done;
   Alcotest.(check int) "no hits" 0 (E.Fabric.warm_hits fab);
   Alcotest.(check int) "no misses" 0 (E.Fabric.warm_misses fab)
 
-(* Same seed, same scenario, warm on vs off: every flow rate must be
-   bit-identical (the memo and solver warm-start may only change how
-   fast rates are computed, never their bits). *)
-let test_fabric_warm_cold_rates_bitwise () =
+(* With the memo off, every component compute still goes through a
+   solver state: the solver-work ledger counts solves and full
+   rebuilds (each compute starts from a fresh state) while the memo
+   counters stay 0. *)
+let test_fabric_memo_off_still_solves () =
+  let fab, p = loaded_fabric ~warm:false () in
+  churn fab p;
+  let s = E.Fabric.scan_solver_stats fab in
+  Alcotest.(check bool) "solves > 0" true (s.E.Fairshare.solves > 0);
+  Alcotest.(check bool) "full rebuilds > 0" true (s.E.Fairshare.full_rebuilds > 0);
+  Alcotest.(check int) "no hits" 0 (E.Fabric.warm_hits fab);
+  Alcotest.(check int) "no misses" 0 (E.Fabric.warm_misses fab)
+
+(* Same seed, same scenario, memo on vs off: every flow rate must be
+   bit-identical (the memo may only change how fast rates are
+   computed, never their bits). *)
+let test_fabric_memo_on_off_rates_bitwise () =
   let run warm =
     let fab, p = loaded_fabric ~warm () in
     churn fab p;
@@ -392,14 +433,14 @@ let test_fabric_warm_cold_rates_bitwise () =
     |> List.map (fun f -> (f.E.Flow.id, f.E.Flow.rate))
     |> List.sort compare
   in
-  let w = run true and c = run false in
-  Alcotest.(check int) "same flow count" (List.length c) (List.length w);
+  let on = run true and off = run false in
+  Alcotest.(check int) "same flow count" (List.length off) (List.length on);
   List.iter2
-    (fun (wi, wr) (ci, cr) ->
-      Alcotest.(check int) "same flow id" ci wi;
-      if not (bits_eq wr cr) then
-        Alcotest.failf "flow %d: warm rate %h <> cold rate %h" wi wr cr)
-    w c
+    (fun (oi, orate) (fi, frate) ->
+      Alcotest.(check int) "same flow id" fi oi;
+      if not (bits_eq orate frate) then
+        Alcotest.failf "flow %d: memo-on rate %h <> memo-off rate %h" oi orate frate)
+    on off
 
 let fabric_tests =
   [
@@ -407,10 +448,12 @@ let fabric_tests =
       test_fabric_steady_churn_hits;
     Alcotest.test_case "faults, limit updates and config swaps invalidate" `Quick
       test_fabric_invalidation;
-    Alcotest.test_case "disabled warm-start keeps counters at zero" `Quick
-      test_fabric_cold_counters_stay_zero;
-    Alcotest.test_case "warm and cold fabrics produce bit-identical rates" `Quick
-      test_fabric_warm_cold_rates_bitwise;
+    Alcotest.test_case "memo off keeps the memo counters at zero" `Quick
+      test_fabric_memo_off_counters_stay_zero;
+    Alcotest.test_case "memo off still solves through a solver state" `Quick
+      test_fabric_memo_off_still_solves;
+    Alcotest.test_case "memo-on and memo-off fabrics produce bit-identical rates" `Quick
+      test_fabric_memo_on_off_rates_bitwise;
   ]
 
 let suites =
