@@ -501,7 +501,7 @@ let flow_start host ~tenant ~src ~dst ~gbps =
 
 let flow_stop host ~flow =
   let fab = Ihnet.Host.fabric host in
-  match List.find_opt (fun (f : E.Flow.t) -> f.E.Flow.id = flow) (E.Fabric.scan_flows fab) with
+  match E.Fabric.find_flow fab flow with
   | None -> failwith (Printf.sprintf "no flow %d" flow)
   | Some f ->
     E.Fabric.stop_flow fab f;

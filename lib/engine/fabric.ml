@@ -95,6 +95,7 @@ type t = {
   induced_trow : float array; (* tenant 0's row, cached for the spill path *)
   mutable allocs : int;
   mutable in_batch : bool; (* defer reallocation inside Fabric.batch *)
+  mutable deferred : bool; (* the current batch deferred a reallocation *)
   mutable listeners : (event -> unit) list; (* registration order *)
   (* incremental allocation state *)
   nr : int; (* real (link, dir) resource count *)
@@ -271,6 +272,7 @@ let create ?(seed = 42) ?domains ?(warm = true) sim topo =
       induced_trow;
       allocs = 0;
       in_batch = false;
+      deferred = false;
       listeners = [];
       nr;
       res_entries = Array.make (nr + ns) [];
@@ -889,7 +891,7 @@ let record_link_latencies t sk (c : component) =
    so a parallel or memoized run commits byte-identical state to a
    sequential memo-off one. *)
 let rec reallocate t seeds =
-  if t.in_batch then ()
+  if t.in_batch then t.deferred <- true
   else reallocate_now t seeds
 
 and reallocate_now t seeds =
@@ -1140,6 +1142,7 @@ let active_flows t =
   |> List.sort (fun (a : Flow.t) b -> compare a.Flow.id b.Flow.id)
 
 let flow_count t = Hashtbl.length t.entries
+let find_flow t id = Option.map (fun e -> e.flow) (Hashtbl.find_opt t.entries id)
 let refresh t = observed_sync t
 
 let batch t f =
@@ -1147,10 +1150,12 @@ let batch t f =
   else begin
     if t.listeners <> [] then emit t Batch_started;
     t.in_batch <- true;
+    t.deferred <- false;
     Fun.protect
       ~finally:(fun () ->
         t.in_batch <- false;
-        reallocate t (all_seeds t);
+        (* a batch that changed nothing is not an epoch *)
+        if t.deferred then reallocate t (all_seeds t);
         if t.listeners <> [] then emit t Batch_ended)
       f
   end

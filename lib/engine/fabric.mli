@@ -92,6 +92,9 @@ val set_flow_limits :
 val active_flows : t -> Flow.t list
 val flow_count : t -> int
 
+val find_flow : t -> int -> Flow.t option
+(** The active flow with this id — a table lookup, not a scan. *)
+
 val refresh : t -> unit
 (** Integrate flow progress and byte counters up to the current
     simulated time. Counter queries do this implicitly; call it before
@@ -99,8 +102,12 @@ val refresh : t -> unit
 
 val batch : t -> (unit -> unit) -> unit
 (** [batch t f] runs [f] with rate reallocation deferred, then
-    reallocates once. Used by the arbiter to push many limit updates as
-    a single enforcement action. Nested batches are flattened. *)
+    reallocates once if [f] deferred any reallocation — also when [f]
+    raises. A batch that changed nothing is not an epoch: it bumps
+    neither {!reallocations} nor the epoch and emits no [Reallocated]
+    (it still emits [Batch_started]/[Batch_ended] when observed). Used
+    by the arbiter to push many limit updates as a single enforcement
+    action. Nested batches are flattened. *)
 
 (** {1 Event subscription}
 

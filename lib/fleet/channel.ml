@@ -35,4 +35,5 @@ let tick t =
 
 let clear t = t.inflight <- []
 let in_flight t = List.length t.inflight
+let exists t p = List.exists (fun e -> p e.e_msg) t.inflight
 let rng_peek t = Rng.peek t.rng

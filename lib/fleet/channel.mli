@@ -42,6 +42,9 @@ val clear : 'a t -> unit
 
 val in_flight : 'a t -> int
 
+val exists : 'a t -> ('a -> bool) -> bool
+(** Whether some message still in flight satisfies the predicate. *)
+
 val rng_peek : 'a t -> int64
 (** The channel RNG's state, unadvanced — the idle-discipline probe:
     equal before/after a fault-free run proves no draws happened. *)

@@ -7,6 +7,7 @@ module Mon = Ihnet_monitor
 module Chanfault = Ihnet_engine.Chanfault
 module Scanport = Ihnet_record.Scanport
 module Trace = Ihnet_record.Trace
+module IS = Set.Make (Int)
 
 type config = {
   round_len : Units.ns;
@@ -76,6 +77,74 @@ let decision_to_string = function
   | D_command_failed { host; tenant; error } ->
     Printf.sprintf "command to %s for tenant %d failed: %s" host tenant
       (M.Mgr_error.to_string error)
+
+(* {1 The decision log}
+
+   Two packed ints per decision in fixed-size off-heap chunks, so a
+   long run's log neither grows the major heap nor copies itself as it
+   grows. A row is [a; kind lor (h1 lsl 4) lor (h2 lsl 33)]: [a] is the
+   tenant (or, for a host-only decision, the host) and [h1]/[h2] are
+   host indexes. The few decisions that carry a payload (an error or a
+   revoked list) are kept whole in a side vector; their row holds
+   their position there. *)
+
+module Dlog = struct
+  module A1 = Bigarray.Array1
+
+  let rows_per_chunk = 8192
+
+  type t = {
+    chunks : (int, Bigarray.int_elt, Bigarray.c_layout) A1.t U.Vec.t;
+    side : decision U.Vec.t;
+    mutable len : int;
+  }
+
+  let create () = { chunks = U.Vec.create (); side = U.Vec.create (); len = 0 }
+  let length t = t.len
+
+  let row t kind a ?(h1 = 0) ?(h2 = 0) () =
+    let r = t.len mod rows_per_chunk in
+    if r = 0 then U.Vec.push t.chunks (A1.create Bigarray.int Bigarray.c_layout (2 * rows_per_chunk));
+    let ch = U.Vec.get t.chunks (t.len / rows_per_chunk) in
+    A1.set ch (2 * r) a;
+    A1.set ch ((2 * r) + 1) (kind lor (h1 lsl 4) lor (h2 lsl 33));
+    t.len <- t.len + 1
+
+  let reason_code = function Host_down -> 0 | Slo -> 1 | Admission -> 2
+  let reason_of = function 0 -> Host_down | 1 -> Slo | _ -> Admission
+
+  (* [index] maps a host label to its enrollment index *)
+  let push t ~index d =
+    match d with
+    | D_placed { tenant; host } -> row t 0 tenant ~h1:(index host) ()
+    | D_migrated { tenant; from_; to_; reason } ->
+      row t (1 + reason_code reason) tenant ~h1:(index from_) ~h2:(index to_) ()
+    | D_restored { tenant; host } -> row t 4 tenant ~h1:(index host) ()
+    | D_host_lost { host } -> row t 5 (index host) ()
+    | D_host_recovered { host } -> row t 6 (index host) ()
+    | D_held_down { host } -> row t 7 (index host) ()
+    | D_degraded _ | D_reconciled _ | D_command_failed _ ->
+      row t 8 (U.Vec.length t.side) ();
+      U.Vec.push t.side d
+
+  (* [label] is [index]'s inverse *)
+  let get t ~label i =
+    let ch = U.Vec.get t.chunks (i / rows_per_chunk) and r = i mod rows_per_chunk in
+    let a = A1.get ch (2 * r) and w = A1.get ch ((2 * r) + 1) in
+    let h1 () = label ((w lsr 4) land 0x1fff_ffff) and h2 () = label (w lsr 33) in
+    match w land 0xf with
+    | 0 -> D_placed { tenant = a; host = h1 () }
+    | (1 | 2 | 3) as k -> D_migrated { tenant = a; from_ = h1 (); to_ = h2 (); reason = reason_of (k - 1) }
+    | 4 -> D_restored { tenant = a; host = h1 () }
+    | 5 -> D_host_lost { host = label a }
+    | 6 -> D_host_recovered { host = label a }
+    | 7 -> D_held_down { host = label a }
+    | _ -> U.Vec.get t.side a
+
+  let to_list t ~label =
+    let rec go i acc = if i < 0 then acc else go (i - 1) (get t ~label i :: acc) in
+    go (t.len - 1) []
+end
 
 (* {1 Wire messages} *)
 
@@ -155,11 +224,11 @@ type t = {
   mutable nhosts : int;
   host_by_label : (string, int) Hashtbl.t;
   tenant_tbl : (int, tenant) Hashtbl.t;
-  mutable tenant_order : int list;  (* ascending ids *)
+  mutable tenant_order : IS.t;
   mutable round_no : int;
   mutable next_seq : int;
   inflight : (int, inflight) Hashtbl.t;
-  mutable log : decision list;  (* newest first *)
+  log : Dlog.t;
   mutable fp : int64;
 }
 
@@ -172,16 +241,16 @@ let create ?(config = default_config) ?(seed = 42) ?domains () =
     nhosts = 0;
     host_by_label = Hashtbl.create 64;
     tenant_tbl = Hashtbl.create 64;
-    tenant_order = [];
+    tenant_order = IS.empty;
     round_no = 0;
     next_seq = 0;
     inflight = Hashtbl.create 17;
-    log = [];
+    log = Dlog.create ();
     fp = Trace.fnv_basis;
   }
 
 let record t d =
-  t.log <- d :: t.log;
+  Dlog.push t.log ~index:(Hashtbl.find t.host_by_label) d;
   t.fp <- Trace.fnv_string (Trace.fnv_int t.fp t.round_no) (decision_to_string d)
 
 let get t label =
@@ -308,7 +377,7 @@ let submit t intent =
       tn_retry_at = 0;
       tn_gone = false;
     };
-  t.tenant_order <- List.sort compare (id :: t.tenant_order)
+  t.tenant_order <- IS.add id t.tenant_order
 
 let revoke t ~tenant =
   match Hashtbl.find_opt t.tenant_tbl tenant with
@@ -317,33 +386,46 @@ let revoke t ~tenant =
 
 let remove_tenant t id =
   Hashtbl.remove t.tenant_tbl id;
-  t.tenant_order <- List.filter (fun x -> x <> id) t.tenant_order
+  t.tenant_order <- IS.remove id t.tenant_order
 
 let iter_tenants t f =
-  List.iter
+  IS.iter
     (fun id -> match Hashtbl.find_opt t.tenant_tbl id with Some tn -> f tn | None -> ())
     t.tenant_order
 
-(* Guaranteed bytes/s the controller believes it has routed to host
-   [i]; make-before-break counts a migrating tenant on both ends. *)
-let load_of t i =
-  let lbl = t.harr.(i).h_label in
-  let total = ref 0.0 in
-  iter_tenants t (fun tn ->
-      if not tn.tn_gone then
-        let here =
-          match tn.tn_state with
-          | Placed l | Placing l -> l = lbl
-          | Migrating { from_; to_ } -> from_ = lbl || to_ = lbl
-          | Unplaced | Fleet_degraded -> false
-        in
-        if here then total := !total +. M.Intent.total_guaranteed tn.tn_intent);
-  !total
+(* Host index -> ids of the tenants assigned there, ascending: Placed
+   or Placing on it, or Migrating from or to it (make-before-break
+   counts both ends). O(hosts + tenants); callers re-check each
+   tenant's state at visit time. *)
+let tenants_by_host t =
+  let idx = Array.make t.nhosts [] in
+  let add lbl id =
+    match Hashtbl.find_opt t.host_by_label lbl with
+    | Some i -> idx.(i) <- id :: idx.(i)
+    | None -> ()
+  in
+  Seq.iter
+    (fun id ->
+      match Hashtbl.find_opt t.tenant_tbl id with
+      | None -> ()
+      | Some tn -> (
+        match tn.tn_state with
+        | Placed l | Placing l -> add l id
+        | Migrating { from_; to_ } ->
+          add from_ id;
+          add to_ id
+        | Unplaced | Fleet_degraded -> ()))
+    (IS.to_rev_seq t.tenant_order);
+  idx
 
-let has_primary_inflight t id =
-  Hashtbl.fold
-    (fun _ inf acc -> acc || (inf.if_purpose = Primary && inf.if_tenant = id))
-    t.inflight false
+(* the [Placed] tenants among a host's index entries, ascending *)
+let placed_on t h ids =
+  List.filter
+    (fun id ->
+      match Hashtbl.find_opt t.tenant_tbl id with
+      | Some { tn_state = Placed l; _ } -> l = h.h_label
+      | _ -> false)
+    ids
 
 let has_cleanup_revoke t ~host ~tenant =
   Hashtbl.fold
@@ -427,9 +509,9 @@ let advance_and_report t =
 
 (* {1 Phase 2: channel exchange (coordinator, host index order)} *)
 
-let deliver_commands h =
+let deliver_commands t h =
   let arrived = Channel.tick h.h_cmd in
-  match h.h_host with
+  (match h.h_host with
   | None -> ()  (* crashed: arrivals hit a dead box *)
   | Some host ->
     List.iter
@@ -455,7 +537,15 @@ let deliver_commands h =
             in
             Hashtbl.replace h.h_applied c.c_seq result;
             Channel.send h.h_up (Ack { a_seq = c.c_seq; a_result = result }))
-      arrived
+      arrived);
+  (* prune the applied table: a seq that has left [t.inflight] is never
+     re-sent, so once no copy is left on the wire it cannot arrive again *)
+  Hashtbl.filter_map_inplace
+    (fun seq result ->
+      if Hashtbl.mem t.inflight seq || Channel.exists h.h_cmd (fun c -> c.c_seq = seq) then
+        Some result
+      else None)
+    h.h_applied
 
 let note_flap t h =
   let cutoff = t.round_no - t.cfg.flap_window in
@@ -473,8 +563,11 @@ let recently_revoked h tenant report_round =
 (* Compare the host's claimed placements with the desired map: strays
    (tenants the controller failed over elsewhere during a partition)
    are revoked; desired tenants the host no longer carries (it
-   restarted) go back to placement. *)
-let reconcile t h r =
+   restarted) go back to placement. [assigned] is the host's entry in
+   {!tenants_by_host}, built before this receive phase: a tenant can
+   only become [Placed] here without being listed through
+   [placement_confirmed], whose [tn_since] fails the guard below. *)
+let reconcile t h ~assigned r =
   let assigned_here tn =
     match tn.tn_state with
     | Placed l | Placing l -> l = h.h_label
@@ -495,18 +588,20 @@ let reconcile t h r =
     record t (D_reconciled { host = h.h_label; revoked = strays });
     List.iter (fun id -> cleanup_revoke t h id) strays
   end;
-  iter_tenants t (fun tn ->
-      match tn.tn_state with
-      | Placed l
-        when l = h.h_label && (not (List.mem tn.tn_id r.r_placed)) && tn.tn_since < r.r_round ->
+  List.iter
+    (fun id ->
+      match Hashtbl.find_opt t.tenant_tbl id with
+      | Some ({ tn_state = Placed l; _ } as tn)
+        when l = h.h_label && (not (List.mem id r.r_placed)) && tn.tn_since < r.r_round ->
         (* the host restarted and lost it: fail over *)
         tn.tn_state <- Unplaced;
         tn.tn_prev <- Some l;
         tn.tn_reason <- Some Host_down;
         tn.tn_tried <- []
       | _ -> ())
+    assigned
 
-let on_report t h r =
+let on_report t h ~assigned r =
   if r.r_epoch > h.h_known_epoch then h.h_known_epoch <- r.r_epoch;
   h.h_last_report <- max h.h_last_report r.r_round;
   h.h_last_slo <- (r.r_degraded, r.r_violated);
@@ -516,7 +611,7 @@ let on_report t h r =
     record t (D_host_recovered { host = h.h_label });
     note_flap t h
   end;
-  reconcile t h r
+  reconcile t h ~assigned r
 
 let placement_confirmed t h tn =
   let was_degraded = tn.tn_was_degraded in
@@ -582,9 +677,9 @@ let on_ack t h a =
             tn.tn_retry_at <- t.round_no + t.cfg.degraded_retry
           | _ -> ()))))
 
-let receive t h =
+let receive t h ~assigned =
   List.iter
-    (function Report r -> on_report t h r | Ack a -> on_ack t h a)
+    (function Report r -> on_report t h ~assigned r | Ack a -> on_ack t h a)
     (Channel.tick h.h_up)
 
 (* {1 Phase 3: control (coordinator)} *)
@@ -711,26 +806,24 @@ let compute_loads t =
         | Unplaced | Fleet_degraded -> ());
   loads
 
-let candidates t tn ~loads ~exclude =
-  let rec collect i acc =
-    if i < 0 then acc
-    else
-      let h = t.harr.(i) in
-      let ok =
-        h.h_belief = `Reachable
-        && t.round_no >= h.h_held_until
-        && (not (List.mem i tn.tn_tried))
-        && not (List.mem i exclude)
-      in
-      collect (i - 1) (if ok then i :: acc else acc)
-  in
-  collect (t.nhosts - 1) []
-  |> List.map (fun i -> (loads.(i), i))
-  |> List.sort compare |> List.map snd
+(* The least-loaded eligible host, lowest index on ties. *)
+let best_host t tn ~loads ~exclude =
+  let best = ref None in
+  for i = t.nhosts - 1 downto 0 do
+    let h = t.harr.(i) in
+    if
+      h.h_belief = `Reachable
+      && t.round_no >= h.h_held_until
+      && i <> exclude
+      && (not (List.mem i tn.tn_tried))
+      && match !best with Some b -> loads.(i) <= loads.(b) | None -> true
+    then best := Some i
+  done;
+  !best
 
 let try_place t tn ~loads =
-  match candidates t tn ~loads ~exclude:[] with
-  | [] ->
+  match best_host t tn ~loads ~exclude:(-1) with
+  | None ->
     if tn.tn_state <> Fleet_degraded then begin
       tn.tn_state <- Fleet_degraded;
       tn.tn_was_degraded <- true;
@@ -740,7 +833,7 @@ let try_place t tn ~loads =
     end;
     tn.tn_tried <- [];
     tn.tn_retry_at <- t.round_no + t.cfg.degraded_retry
-  | i :: _ ->
+  | Some i ->
     let h = t.harr.(i) in
     tn.tn_state <- Placing h.h_label;
     loads.(i) <- loads.(i) +. M.Intent.total_guaranteed tn.tn_intent;
@@ -748,9 +841,9 @@ let try_place t tn ~loads =
 
 let try_migrate t tn from_label ~loads =
   let from_i = Hashtbl.find t.host_by_label from_label in
-  match candidates t tn ~loads ~exclude:[ from_i ] with
-  | [] -> tn.tn_retry_at <- t.round_no + t.cfg.degraded_retry
-  | i :: _ ->
+  match best_host t tn ~loads ~exclude:from_i with
+  | None -> tn.tn_retry_at <- t.round_no + t.cfg.degraded_retry
+  | Some i ->
     let h = t.harr.(i) in
     tn.tn_state <- Migrating { from_ = from_label; to_ = h.h_label };
     tn.tn_prev <- Some from_label;
@@ -760,7 +853,14 @@ let try_migrate t tn from_label ~loads =
 
 let drive_tenants t =
   let loads = compute_loads t in
-  List.iter
+  (* only the visited tenant ever gains a Primary entry below, so one
+     snapshot answers "is a Primary command in flight?" for the pass *)
+  let busy = Hashtbl.create 17 in
+  Hashtbl.iter
+    (fun _ inf -> if inf.if_purpose = Primary then Hashtbl.replace busy inf.if_tenant ())
+    t.inflight;
+  let has_primary_inflight id = Hashtbl.mem busy id in
+  IS.iter
     (fun id ->
       match Hashtbl.find_opt t.tenant_tbl id with
       | None -> ()
@@ -768,7 +868,7 @@ let drive_tenants t =
         if tn.tn_gone then begin
           match tn.tn_state with
           | Unplaced | Fleet_degraded -> remove_tenant t id
-          | Placed l when not (has_primary_inflight t id) ->
+          | Placed l when not (has_primary_inflight id) ->
             let h = get t l in
             if h.h_belief = `Reachable then send_cmd t h Primary id (Crevoke id)
             else (
@@ -777,7 +877,7 @@ let drive_tenants t =
               remove_tenant t id)
           | _ -> ()
         end
-        else if not (has_primary_inflight t id) then
+        else if not (has_primary_inflight id) then
           match tn.tn_state with
           | Unplaced -> try_place t tn ~loads
           | Fleet_degraded when t.round_no >= tn.tn_retry_at ->
@@ -793,10 +893,11 @@ let round t =
   t.round_no <- t.round_no + 1;
   advance_and_report t;
   for i = 0 to t.nhosts - 1 do
-    deliver_commands t.harr.(i)
+    deliver_commands t t.harr.(i)
   done;
+  let by_host = tenants_by_host t in
   for i = 0 to t.nhosts - 1 do
-    receive t t.harr.(i)
+    receive t t.harr.(i) ~assigned:by_host.(i)
   done;
   check_reachability t;
   retry_commands t;
@@ -823,9 +924,16 @@ let host_view t label =
 let tenant_view t id =
   Option.map (fun tn -> tn.tn_state) (Hashtbl.find_opt t.tenant_tbl id)
 
-let tenants t = t.tenant_order
-let decisions t = List.rev t.log
+let tenants t = IS.elements t.tenant_order
+let decisions t = Dlog.to_list t.log ~label:(fun i -> t.harr.(i).h_label)
 let decisions_fingerprint t = t.fp
+
+let applied_size t label = Hashtbl.length (get t label).h_applied
+
+let commands_outstanding t label =
+  let h = get t label in
+  Hashtbl.fold (fun _ inf n -> if inf.if_host = h.h_index then n + 1 else n) t.inflight 0
+  + Channel.in_flight h.h_cmd
 
 let digest t =
   let d = ref Trace.fnv_basis in
@@ -853,6 +961,7 @@ let channel_rng_peek t label =
     (Channel.rng_peek h.h_up)
 
 let collect t =
+  let by_host = tenants_by_host t in
   let members = ref [] in
   for i = t.nhosts - 1 downto 0 do
     let h = t.harr.(i) in
@@ -860,16 +969,11 @@ let collect t =
     | None -> ()
     | Some host ->
       let fab = Ihnet.Host.fabric host in
-      let mine = ref [] in
-      iter_tenants t (fun tn ->
-          match tn.tn_state with
-          | Placed l when l = h.h_label -> mine := tn.tn_id :: !mine
-          | _ -> ());
       members :=
         {
           Mon.Fleet.label = h.h_label;
           counter = Mon.Counter.create fab ~fidelity:Mon.Counter.Software;
-          tenants = List.rev !mine;
+          tenants = placed_on t h by_host.(i);
           slo = Some (fun () -> h.h_last_slo);
         }
         :: !members
@@ -886,22 +990,18 @@ let pp ppf t =
   Format.fprintf ppf
     "fleet: %d host(s) (%d reachable, %d unreachable, %d crashed), %d tenant(s), round %d, %d decision(s)@."
     t.nhosts !reach !unreach !crashed
-    (List.length t.tenant_order)
-    t.round_no (List.length t.log);
+    (IS.cardinal t.tenant_order)
+    t.round_no (Dlog.length t.log);
+  let by_host = tenants_by_host t and loads = compute_loads t in
   for i = 0 to t.nhosts - 1 do
     let h = t.harr.(i) in
     let state =
       if h.h_host = None then "crashed"
       else match h.h_belief with `Reachable -> "reachable" | `Unreachable -> "unreachable"
     in
-    let placed = ref [] in
-    iter_tenants t (fun tn ->
-        match tn.tn_state with
-        | Placed l when l = h.h_label -> placed := tn.tn_id :: !placed
-        | _ -> ());
     Format.fprintf ppf "  %-16s %-11s epoch=%d load=%a tenants=[%s]@." h.h_label state
-      h.h_epoch Units.pp_rate (load_of t i)
-      (String.concat "," (List.rev_map string_of_int !placed))
+      h.h_epoch Units.pp_rate loads.(i)
+      (String.concat "," (List.map string_of_int (placed_on t h by_host.(i))))
   done;
   iter_tenants t (fun tn ->
       let state =

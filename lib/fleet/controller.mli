@@ -186,6 +186,16 @@ val decisions_fingerprint : t -> int64
 (** FNV-1a over the rendered decision log — the qcheck determinism
     property compares this across pool widths. *)
 
+val applied_size : t -> string -> int
+(** Entries in the host's at-most-once applied table. The table is
+    pruned right after each delivery to the commands still in flight
+    or on the host's command wire, so after a {!round} it never holds
+    more than {!commands_outstanding} counted before that round. *)
+
+val commands_outstanding : t -> string -> int
+(** Commands to the host awaiting an ack plus messages on its command
+    wire (duplicates counted). *)
+
 val digest : t -> int64
 (** Per-host {!Ihnet_record.Scanport} digests chained with
     {!Ihnet_record.Trace.fnv_int64} in host index order (crashed

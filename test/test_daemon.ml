@@ -632,7 +632,79 @@ let integration () =
       | None -> ()
       | Some m -> Alcotest.fail (Format.asprintf "%a" Rec.Scanport.pp_mismatch m)))
 
-let integration_suite = ("daemon integration", [ tc "4 concurrent clients, replayed" integration ])
+(* Two failing commands that arrive in one loop tick run as one batch
+   that defers nothing: no epoch in the session, none in its replay. *)
+let failed_batch () =
+  let path = temp_socket "failbatch" in
+  let spec = Api.Host_spec.make ~seed:7 () in
+  let host = Api.Host_spec.create_host spec in
+  let fab = Ihnet.Host.fabric host in
+  let buf = Buffer.create 4096 in
+  let recorder =
+    Rec.Recorder.attach ~label:"test-failed-batch" ~seed:7 ~digest_every:1
+      ~sink:(Rec.Recorder.buffer_sink buf) fab
+  in
+  let batches = ref 0 in
+  Ihnet_engine.Fabric.subscribe fab (function
+    | Ihnet_engine.Fabric.Batch_started -> incr batches
+    | _ -> ());
+  let srv = Api.Server.create (Api.Handlers.create ~recorder ~spec (Api.Handlers.Host host)) path in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      Api.Server.stop srv)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      let reply () =
+        pump srv 5;
+        match Api.Wire.read_frame fd with
+        | Some j -> (match Resp.of_json j with Ok r -> r | Error e -> Alcotest.fail e)
+        | None -> Alcotest.fail "no reply"
+      in
+      let send cmd = Api.Wire.write_frame fd (C.to_json cmd) in
+      send (C.Hello { version = C.version });
+      ignore (reply ());
+      send (C.Flow_start { tenant = 1; src = "ext"; dst = "socket0"; gbps = Some 1.0 });
+      let flow =
+        match reply () with Resp.Flow_ok { flow } -> flow | _ -> Alcotest.fail "flow start failed"
+      in
+      let epochs = Ihnet_engine.Fabric.reallocations fab in
+      send (C.Flow_stop { flow = flow + 1000 });
+      send (C.Flow_stop { flow = flow + 1001 });
+      pump srv 5;
+      for _ = 1 to 2 do
+        match Api.Wire.read_frame fd with
+        | Some j -> (
+          match Resp.of_json j with
+          | Ok (Resp.Err _) -> ()
+          | Ok _ -> Alcotest.fail "a stop of an unknown flow succeeded"
+          | Error e -> Alcotest.fail e)
+        | None -> Alcotest.fail "no reply"
+      done;
+      Alcotest.(check int) "both commands ran in one batch" 1 !batches;
+      Alcotest.(check int) "the failed batch is not an epoch" epochs (Ihnet_engine.Fabric.reallocations fab);
+      send (C.Flow_stop { flow });
+      ignore (reply ()));
+  Rec.Recorder.stop recorder;
+  let trace =
+    match Rec.Trace.parse (Buffer.contents buf) with
+    | Ok t -> t
+    | Error e -> Alcotest.fail ("trace parse: " ^ e)
+  in
+  match Rec.Replay.run trace with
+  | Error e -> Alcotest.fail ("replay: " ^ e)
+  | Ok report ->
+    if not (Rec.Replay.ok report) then
+      Alcotest.fail (Format.asprintf "%a" Rec.Replay.pp_report report);
+    Alcotest.(check bool) "digests were checked" true (report.Rec.Replay.digests_checked > 0)
+
+let integration_suite =
+  ( "daemon integration",
+    [
+      tc "4 concurrent clients, replayed" integration;
+      tc "a batch of failed commands is no epoch, replayed" failed_batch;
+    ] )
 
 let suites =
   [ codec_suite; framing_suite; exit_code_suite; handlers_suite; protocol_suite; integration_suite ]

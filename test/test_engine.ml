@@ -616,6 +616,70 @@ let sketch_plane_tests =
         Alcotest.(check bool) "still enabled" true (Fabric.latency_sketches_enabled fab));
   ]
 
+(* {1 Batches: an epoch only when something was deferred} *)
+
+let batch_tests =
+  let setup () =
+    let topo = T.Builder.minimal () in
+    let fab = Fabric.create (Sim.create ()) topo in
+    let p = path topo "nic0" "dimm0.0.0" in
+    ignore (Fabric.start_flow fab ~tenant:1 ~path:p ~size:Flow.Unbounded ());
+    let seen = ref [] in
+    Fabric.subscribe fab (fun ev ->
+        let name =
+          match ev with
+          | Fabric.Batch_started -> "batch-start"
+          | Fabric.Batch_ended -> "batch-end"
+          | Fabric.Reallocated _ -> "reallocated"
+          | Fabric.Flow_started _ -> "flow-started"
+          | _ -> "other"
+        in
+        seen := name :: !seen);
+    (fab, p, fun () -> List.rev !seen)
+  in
+  let epochs fab = (Fabric.reallocations fab, Fabric.scan_epoch fab) in
+  let check_epochs msg (r, e) fab =
+    Alcotest.(check (pair int int)) msg (r, e) (epochs fab)
+  in
+  [
+    tc "an empty batch is not an epoch" (fun () ->
+        let fab, _, seen = setup () in
+        let r0, e0 = epochs fab in
+        Fabric.batch fab (fun () -> ());
+        check_epochs "reallocations and epoch unchanged" (r0, e0) fab;
+        Alcotest.(check (list string)) "boundaries only" [ "batch-start"; "batch-end" ] (seen ()));
+    tc "a batch with one start takes exactly one epoch" (fun () ->
+        let fab, p, seen = setup () in
+        let r0, e0 = epochs fab in
+        Fabric.batch fab (fun () -> ignore (Fabric.start_flow fab ~tenant:2 ~path:p ~size:Flow.Unbounded ()));
+        check_epochs "one epoch" (r0 + 1, e0 + 1) fab;
+        Alcotest.(check (list string)) "one reallocation inside the boundaries"
+          [ "batch-start"; "flow-started"; "reallocated"; "batch-end" ]
+          (seen ()));
+    tc "a batch whose body raises after a mutation still reallocates" (fun () ->
+        let fab, p, _ = setup () in
+        let r0, e0 = epochs fab in
+        let g = ref None in
+        (try
+           Fabric.batch fab (fun () ->
+               g := Some (Fabric.start_flow fab ~tenant:2 ~path:p ~size:Flow.Unbounded ());
+               failwith "boom")
+         with Failure _ -> ());
+        check_epochs "one epoch" (r0 + 1, e0 + 1) fab;
+        match !g with
+        | Some g -> Alcotest.(check bool) "the new flow got a rate" true (g.Flow.rate > 0.0)
+        | None -> Alcotest.fail "body did not run");
+    tc "a nested empty batch changes nothing" (fun () ->
+        let fab, p, _ = setup () in
+        let r0, e0 = epochs fab in
+        Fabric.batch fab (fun () -> Fabric.batch fab (fun () -> ()));
+        check_epochs "empty in empty" (r0, e0) fab;
+        Fabric.batch fab (fun () ->
+            ignore (Fabric.start_flow fab ~tenant:2 ~path:p ~size:Flow.Unbounded ());
+            Fabric.batch fab (fun () -> ()));
+        check_epochs "empty in mutating: still one epoch" (r0 + 1, e0 + 1) fab);
+  ]
+
 let suites =
   [
     ("engine.sim", sim_tests);
@@ -625,4 +689,5 @@ let suites =
     ("engine.cache", cache_tests);
     ("engine.fabric", fabric_tests @ fabric_properties);
     ("engine.sketches", sketch_plane_tests);
+    ("engine.batch", batch_tests);
   ]

@@ -255,6 +255,140 @@ let controller_tests =
           f.Ihnet_monitor.Fleet.hosts);
   ]
 
+(* {1 Pinned decisions under an adversarial fleet}
+
+   Every channel loses 10%, duplicates 30% and delays 0–3 rounds; a
+   seeded adversary crashes, restarts, partitions and heals hosts while
+   tenants churn. The decision count, [decisions_fingerprint] and a
+   fingerprint of every host's placements after every round are pinned
+   to values recorded before the controller's round was made linear
+   (tenant index per host, argmin placement, pruned applied tables,
+   packed decision log): none of that may change a decision. *)
+
+let host_placements_fp t labels fp =
+  Array.fold_left
+    (fun fp l ->
+      match F.Controller.host t l with
+      | None -> Ihnet_record.Trace.fnv_int fp (-1)
+      | Some host -> (
+        match Ihnet.Host.manager host with
+        | None -> Ihnet_record.Trace.fnv_int fp (-2)
+        | Some mgr ->
+          List.map (fun (p : M.Placement.t) -> p.M.Placement.tenant) (M.Manager.placements mgr)
+          |> List.sort compare
+          |> List.fold_left Ihnet_record.Trace.fnv_int (Ihnet_record.Trace.fnv_int fp (-3))))
+    fp labels
+
+(* [each_round t] runs after every round *)
+let adversarial ~seed ?(each_round = fun _ -> ()) () =
+  let t = mk ~hosts:12 ~seed () in
+  let labels = Array.of_list (F.Controller.hosts t) in
+  let fault = Chanfault.merge (Chanfault.lossy ~loss:0.1 ~dup_prob:0.3 ()) (Chanfault.delayed ~lo:0 ~hi:3) in
+  Array.iter (fun l -> F.Controller.set_chanfault t l fault) labels;
+  let rng = U.Rng.create ((seed * 31) + 7) in
+  let live = Queue.create () and next = ref 0 in
+  let submit () =
+    incr next;
+    F.Controller.submit t (intent !next);
+    Queue.push !next live
+  in
+  for _ = 1 to 24 do
+    submit ()
+  done;
+  let pending = ref [] and pfp = ref Ihnet_record.Trace.fnv_basis in
+  let pick () =
+    let busy = List.map (fun (_, l, _) -> l) !pending in
+    let rec go () =
+      let l = U.Rng.pick rng labels in
+      if List.mem l busy then go () else l
+    in
+    go ()
+  in
+  let round () =
+    F.Controller.round t;
+    each_round t;
+    pfp := host_placements_fp t labels !pfp
+  in
+  for r = 1 to 240 do
+    if r mod 3 = 0 then begin
+      F.Controller.revoke t ~tenant:(Queue.pop live);
+      submit ()
+    end;
+    if r mod 20 = 0 then begin
+      let l = pick () in
+      F.Controller.crash t l;
+      pending := (r + 8 + U.Rng.int rng 8, l, F.Controller.restart) :: !pending
+    end;
+    if r mod 20 = 10 then begin
+      let l = pick () in
+      F.Controller.partition t l;
+      pending := (r + 6, l, F.Controller.heal) :: !pending
+    end;
+    let due, later = List.partition (fun (at, _, _) -> at <= r) !pending in
+    pending := later;
+    List.iter (fun (_, l, lift) -> lift t l) (List.rev due);
+    round ()
+  done;
+  List.iter (fun (_, l, lift) -> lift t l) (List.rev !pending);
+  Array.iter (fun l -> F.Controller.set_chanfault t l Chanfault.none) labels;
+  for _ = 1 to 40 do
+    round ()
+  done;
+  (t, !pfp)
+
+let pinned_tests =
+  let pinned seed ~decisions ~fingerprint ~placements =
+    tc (Printf.sprintf "seed %d: decisions and placements match the pinned run" seed) (fun () ->
+        let t, pfp = adversarial ~seed () in
+        Alcotest.(check int) "decision count" decisions (List.length (F.Controller.decisions t));
+        Alcotest.(check int64) "decisions_fingerprint" fingerprint (F.Controller.decisions_fingerprint t);
+        Alcotest.(check int64) "host placements after every round" placements pfp)
+  in
+  [
+    pinned 1 ~decisions:474 ~fingerprint:0x758f9582bf0fea0aL ~placements:0xaef82e61ab05ab58L;
+    pinned 3 ~decisions:415 ~fingerprint:0xa33cbc9d2fdabd50L ~placements:0x167cf385cd5dc523L;
+    tc "applied tables stay within the commands outstanding" (fun () ->
+        let before = Hashtbl.create 16 and peak = ref 0 in
+        let note t =
+          List.iter
+            (fun l -> Hashtbl.replace before l (F.Controller.commands_outstanding t l))
+            (F.Controller.hosts t)
+        in
+        let each_round t =
+          List.iter
+            (fun l ->
+              let n = F.Controller.applied_size t l in
+              peak := max !peak n;
+              let bound = Option.value ~default:0 (Hashtbl.find_opt before l) in
+              if n > bound then
+                Alcotest.failf "round %d: %s holds %d applied entries, %d outstanding before the round"
+                  (F.Controller.rounds t) l n bound)
+            (F.Controller.hosts t);
+          note t
+        in
+        let t, _ = adversarial ~seed:2 ~each_round () in
+        Alcotest.(check bool) "the tables were exercised" true (!peak > 0);
+        List.iter
+          (fun l -> Alcotest.(check int) (l ^ " drained after quiesce") 0 (F.Controller.applied_size t l))
+          (F.Controller.hosts t));
+    tc "a retry copy arriving after the ack is re-acked, not re-applied" (fun () ->
+        (* a fixed 3-round delay each way outlasts the 2-round ack timeout:
+           the retry copy is still on the wire when the ack lands *)
+        let t = mk ~hosts:1 () in
+        F.Controller.set_chanfault t "host0" (Chanfault.delayed ~lo:3 ~hi:3);
+        F.Controller.submit t (intent 1);
+        let held = ref false in
+        for _ = 1 to 30 do
+          F.Controller.round t;
+          if F.Controller.tenant_view t 1 = Some (F.Controller.Placed "host0")
+             && F.Controller.applied_size t "host0" > 0
+          then held := true
+        done;
+        Alcotest.(check bool) "entry kept while a copy was on the wire" true !held;
+        Alcotest.(check int) "applied once" 1 (List.length (placements_of t "host0" 1));
+        Alcotest.(check int) "pruned once the wire drained" 0 (F.Controller.applied_size t "host0"));
+  ]
+
 (* {1 Idle discipline: a dormant controller is invisible} *)
 
 let idle_tests =
@@ -344,6 +478,7 @@ let suites =
     ("fleet.channel", channel_tests);
     ("fleet.errors", error_tests);
     ("fleet.controller", controller_tests);
+    ("fleet.pinned", pinned_tests);
     ("fleet.idle", idle_tests);
     ("fleet.determinism", determinism_props);
   ]
