@@ -104,12 +104,12 @@ let ping host ~src ~dst ~count ~load =
       sent = report.Mon.Diagnostics.sent;
       lost = report.Mon.Diagnostics.lost;
       rtt =
-        (if U.Histogram.count r > 0 then
+        (if U.Sketch.count r > 0 then
            Some
-             ( U.Histogram.min_value r,
-               U.Histogram.percentile r 0.5,
-               U.Histogram.percentile r 0.99,
-               U.Histogram.max_value r )
+             ( U.Sketch.min_value r,
+               U.Sketch.percentile r 0.5,
+               U.Sketch.percentile r 0.99,
+               U.Sketch.max_value r )
          else None);
     }
 

@@ -43,8 +43,9 @@ module Rng = Ihnet_util.Rng
 module Stats = Ihnet_util.Stats
 (** Streaming statistics: mean/variance, EWMA, CUSUM. *)
 
-module Histogram = Ihnet_util.Histogram
-(** Log-bucketed latency/size histograms with quantile queries. *)
+module Sketch = Ihnet_util.Sketch
+(** Allocation-free log-bucketed latency sketches with quantile
+    queries. *)
 
 module Pool = Ihnet_util.Pool
 (** Fixed-size domain pool behind the fabric's parallel reallocation

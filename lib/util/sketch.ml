@@ -1,4 +1,5 @@
-(* Flat-array log-linear histogram. Bucket layout matches Histogram:
+(* Flat-array log-linear histogram with a fixed geometry: [sub] = 32
+   sub-buckets per octave, octaves up to [max_octave] = 40.
    index < sub        : linear range [0,1), bucket k covers [k/sub, (k+1)/sub)
    index >= sub       : octave o = idx/sub - 1, sub-bucket sb = idx mod sub,
                         covering [2^o (1 + sb/sub), 2^o (1 + (sb+1)/sub)).
@@ -9,57 +10,46 @@
    statistic folds the counts in index order, so merged sketches are
    bit-identical under any merge grouping. *)
 
+let sub = 32
+let max_octave = 40
+let slots = (max_octave + 2) * sub
+
 type t = {
-  sub : int;
-  max_octave : int;
-  counts : int array; (* (max_octave + 2) * sub slots *)
+  counts : int array;
   mutable n : int;
   mutable mn : float;
   mutable mx : float;
 }
 
-let create ?(sub = 32) ?(max_octave = 40) () =
-  if sub <= 0 then invalid_arg "Sketch.create: sub must be positive";
-  if max_octave < 0 then invalid_arg "Sketch.create: max_octave must be non-negative";
-  {
-    sub;
-    max_octave;
-    counts = Array.make ((max_octave + 2) * sub) 0;
-    n = 0;
-    mn = infinity;
-    mx = neg_infinity;
-  }
+let create () = { counts = Array.make slots 0; n = 0; mn = infinity; mx = neg_infinity }
 
-let sub t = t.sub
-let max_octave t = t.max_octave
-
-let bucket_of t v =
-  if v < 1.0 then int_of_float (v *. float_of_int t.sub)
+let bucket_of v =
+  if v < 1.0 then int_of_float (v *. float_of_int sub)
   else begin
     let m, e = Float.frexp v in
     (* v = m * 2^e, m in [0.5,1) -> v in [2^(e-1), 2^e) *)
     let octave = e - 1 in
-    if octave > t.max_octave then Array.length t.counts - 1
+    if octave > max_octave then slots - 1
     else begin
       (* position within the octave: v / 2^octave - 1 = 2m - 1 in [0,1) *)
-      let sb = int_of_float (((m *. 2.0) -. 1.0) *. float_of_int t.sub) in
-      let sb = if sb >= t.sub then t.sub - 1 else sb in
-      ((octave + 1) * t.sub) + sb
+      let sb = int_of_float (((m *. 2.0) -. 1.0) *. float_of_int sub) in
+      let sb = if sb >= sub then sub - 1 else sb in
+      ((octave + 1) * sub) + sb
     end
   end
 
-let value_of t idx =
-  if idx < t.sub then (float_of_int idx +. 0.5) /. float_of_int t.sub
+let value_of idx =
+  if idx < sub then (float_of_int idx +. 0.5) /. float_of_int sub
   else begin
-    let octave = (idx / t.sub) - 1 in
-    let sb = idx mod t.sub in
+    let octave = (idx / sub) - 1 in
+    let sb = idx mod sub in
     let base = 2.0 ** float_of_int octave in
-    base +. ((float_of_int sb +. 0.5) /. float_of_int t.sub *. base)
+    base +. ((float_of_int sb +. 0.5) /. float_of_int sub *. base)
   end
 
 let record t v =
   if Float.is_finite v && v >= 0.0 then begin
-    let idx = bucket_of t v in
+    let idx = bucket_of v in
     t.counts.(idx) <- t.counts.(idx) + 1;
     t.n <- t.n + 1;
     if v < t.mn then t.mn <- v;
@@ -70,9 +60,9 @@ let count t = t.n
 
 let total t =
   let acc = ref 0.0 in
-  for idx = 0 to Array.length t.counts - 1 do
+  for idx = 0 to slots - 1 do
     let c = t.counts.(idx) in
-    if c > 0 then acc := !acc +. (float_of_int c *. value_of t idx)
+    if c > 0 then acc := !acc +. (float_of_int c *. value_of idx)
   done;
   !acc
 
@@ -87,12 +77,12 @@ let percentile t q =
     let target = q *. float_of_int t.n in
     let acc = ref 0.0 and result = ref t.mx in
     (try
-       for idx = 0 to Array.length t.counts - 1 do
+       for idx = 0 to slots - 1 do
          let c = t.counts.(idx) in
          if c > 0 then begin
            acc := !acc +. float_of_int c;
            if !acc >= target then begin
-             result := value_of t idx;
+             result := value_of idx;
              raise Exit
            end
          end
@@ -104,9 +94,7 @@ let percentile t q =
   end
 
 let merge dst src =
-  if dst.sub <> src.sub || dst.max_octave <> src.max_octave then
-    invalid_arg "Sketch.merge: geometry mismatch";
-  for idx = 0 to Array.length dst.counts - 1 do
+  for idx = 0 to slots - 1 do
     dst.counts.(idx) <- dst.counts.(idx) + src.counts.(idx)
   done;
   dst.n <- dst.n + src.n;
@@ -117,13 +105,13 @@ let copy t = { t with counts = Array.copy t.counts }
 
 let fold_buckets t ~init f =
   let acc = ref init in
-  for idx = 0 to Array.length t.counts - 1 do
+  for idx = 0 to slots - 1 do
     acc := f !acc t.counts.(idx)
   done;
   !acc
 
 let clear t =
-  Array.fill t.counts 0 (Array.length t.counts) 0;
+  Array.fill t.counts 0 slots 0;
   t.n <- 0;
   t.mn <- infinity;
   t.mx <- neg_infinity

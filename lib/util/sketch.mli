@@ -1,30 +1,27 @@
 (** Fixed-geometry, allocation-free latency sketch (HdrHistogram-style).
 
-    Same log-linear bucket layout as {!Histogram} — one octave per power
-    of two, [sub] linear sub-buckets each, values in [\[0,1)] in a linear
-    range below the octaves — but backed by a flat [int array] sized at
-    creation, so {!record} never allocates, resizes, or hashes. This is
-    the always-on variant: cheap enough to leave recording on every
-    reallocation epoch.
+    Log-linear buckets: one octave per power of two with 32 linear
+    sub-buckets each (~3% relative error), values in [\[0,1)] in a
+    linear range below the octaves. Octaves stop at 2^40 (~2^40 ns
+    ≈ 18 min — plenty for intra-host latencies); larger values clamp
+    into the top bucket, with min/max staying exact. Backed by a flat
+    [int array] sized at creation, so {!record} never allocates,
+    resizes, or hashes. This is the always-on variant: cheap enough to
+    leave recording on every reallocation epoch.
 
     Determinism contract: a sketch stores only integer counts plus exact
     min/max; mean and percentiles are derived from the counts in bucket
     order at read time. Integer addition and [Float.min]/[Float.max] are
     commutative and associative, so {!merge}d sketches report
     bit-identical statistics under any merge grouping or order — the
-    property {!Fleet}-style roll-ups rely on. {!Histogram} remains the
-    reference oracle for the differential property tests. *)
+    property {!Fleet}-style roll-ups rely on. The Hashtbl-backed
+    reference oracle in [test/histogram.ml] shares the bucket layout;
+    the differential property tests compare the two bit for bit. *)
 
 type t
 
-val create : ?sub:int -> ?max_octave:int -> unit -> t
-(** [sub] sub-buckets per octave (default 32 — ~3% relative error).
-    [max_octave] is the largest represented power of two (default 40,
-    i.e. ~2^40 ns ≈ 18 min — plenty for intra-host latencies); larger
-    values clamp into the top bucket, with min/max staying exact. *)
-
-val sub : t -> int
-val max_octave : t -> int
+val create : unit -> t
+(** An empty sketch. *)
 
 val record : t -> float -> unit
 (** Record a value. Non-finite or negative values are ignored.
@@ -52,9 +49,7 @@ val max_value : t -> float
 val min_value : t -> float
 
 val merge : t -> t -> unit
-(** [merge dst src] adds all of [src]'s counts into [dst].
-    @raise Invalid_argument when the two geometries ([sub],
-    [max_octave]) differ. *)
+(** [merge dst src] adds all of [src]'s counts into [dst]. *)
 
 val copy : t -> t
 val clear : t -> unit

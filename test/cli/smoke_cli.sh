@@ -68,6 +68,9 @@ expect_any scan-step-lines 0 \
 expect latency 0 \
   '^flow end-to-end latency: ' \
   "$CTL" latency --load --ms 2
+expect_any ping 0 \
+  '^rtt min/p50/p99/max = ' \
+  "$CTL" ping nic0 dimm0.0.0
 "$CTL" record -s e5 -o "$tmp/e5.trace.jsonl" >/dev/null 2>&1
 expect faults 0 \
   '^trace .*: [0-9]+ link fault\(s\), [0-9]+ sensor fault\(s\) active at end$' \
@@ -133,6 +136,9 @@ else
   expect daemon-stats 0 \
     '^now .*aggregate$' \
     "$CTL" stats --connect "$dsock"
+  expect_any daemon-ping 0 \
+    '^rtt min/p50/p99/max = ' \
+    "$CTL" ping nic0 dimm0.0.0 --connect "$dsock"
   expect daemon-capacity-exhausted 16 \
     '^ihnetctl: tenant 9: no pathway can hold ' \
     "$CTL" submit -t 9 --pipe nic0:socket0:5000 --connect "$dsock"

@@ -1,8 +1,12 @@
-(** Log-bucketed latency histogram (HdrHistogram-style).
+(** Log-bucketed latency histogram (HdrHistogram-style): the reference
+    oracle for [Ihnet_util.Sketch].
 
     Records non-negative values with bounded relative error (one bucket
     per power of two, [sub] sub-buckets each), so p99 of a billion
-    samples costs O(buckets) memory. Used for latency telemetry. *)
+    samples costs O(buckets) memory. Same bucket layout as [Sketch],
+    but backed by a Hashtbl with no top octave, so at the default
+    [sub] its percentiles, min, max and count agree with [Sketch]'s
+    bit for bit below [Sketch]'s 2^41 clamp. *)
 
 type t
 
@@ -22,7 +26,8 @@ val count : t -> int
 val total : t -> float
 
 val mean : t -> float
-(** Approximate mean (bucket midpoints); [nan] when empty. *)
+(** Exact mean ([total /. count]); [nan] when empty. [Sketch.mean]
+    differs: it sums bucket midpoints. *)
 
 val percentile : t -> float -> float
 (** [percentile t q], [q] in [\[0,1\]]; [nan] when empty. Returns the

@@ -242,14 +242,14 @@ let histogram_props =
     prop "histogram percentiles within 4% of exact"
       QCheck.(list_of_size Gen.(int_range 50 300) (float_range 1.0 1e6))
       (fun xs ->
-        let h = U.Histogram.create ~sub:64 () in
-        List.iter (U.Histogram.add h) xs;
+        let h = Histogram.create ~sub:64 () in
+        List.iter (Histogram.add h) xs;
         let sorted = Array.of_list xs in
         Array.sort compare sorted;
         List.for_all
           (fun q ->
             let exact = U.Stats.percentile sorted q in
-            let approx = U.Histogram.percentile h q in
+            let approx = Histogram.percentile h q in
             Float.abs (approx -. exact) /. exact < 0.04
             (* bucket quantization can pick a neighbouring sample: also
                accept being within one sample of the exact rank *)

@@ -1,8 +1,9 @@
 (* Unit, differential and merge-determinism tests for Ihnet_util.Sketch.
 
-   Histogram is the reference oracle: both use the same log-linear
-   bucket geometry, so with equal [sub] every percentile estimate must
-   agree exactly. The exact-sample comparisons avoid naive "relative
+   Histogram (test/histogram.ml) is the reference oracle: both use the
+   same log-linear bucket geometry, so at the oracle's default [sub]
+   every percentile estimate below the sketch's 2^41 clamp must agree
+   exactly. The exact-sample comparisons avoid naive "relative
    error" assertions (too weak at bucket boundaries like
    [Float.pred 8.0]) in favour of the geometry's own guarantee: a
    bucket midpoint is within half a bucket width of every value the
@@ -28,8 +29,8 @@ let eq_snapshot (a : Sketch.snapshot) (b : Sketch.snapshot) =
   && bits a.Sketch.s_p999 = bits b.Sketch.s_p999
   && bits a.Sketch.s_max = bits b.Sketch.s_max
 
-let of_list ?sub ?max_octave xs =
-  let sk = Sketch.create ?sub ?max_octave () in
+let of_list xs =
+  let sk = Sketch.create () in
   List.iter (Sketch.record sk) xs;
   sk
 
@@ -64,17 +65,14 @@ let unit_tests =
         Alcotest.(check (float 1e-9)) "p100 = max" 513.0 (Sketch.percentile sk 1.0);
         Alcotest.(check (float 1e-9)) "p1 = min" 513.0 (Sketch.percentile sk 0.01));
     tc "values beyond max_octave clamp into the top bucket" (fun () ->
-        let sk = of_list ~max_octave:4 [ 1e12; 2.0 ] in
+        let top = 2.0 ** 40.0 in
+        let sk = of_list [ 1e15; 2.0 ] in
         Alcotest.(check int) "count" 2 (Sketch.count sk);
-        Alcotest.(check (float 1e-9)) "max exact" 1e12 (Sketch.max_value sk);
-        (* the overflow sample reports from the top octave [16,32): the
+        Alcotest.(check (float 1e-9)) "max exact" 1e15 (Sketch.max_value sk);
+        (* 1e15 > 2^41 reports from the top octave [2^40, 2^41): the
            estimate degrades to the top bucket but stays in range *)
         let p99 = Sketch.percentile sk 0.99 in
-        Alcotest.(check bool) "p99 in top octave" true (p99 >= 16.0 && p99 <= 1e12));
-    tc "merge requires identical geometry" (fun () ->
-        let a = Sketch.create ~sub:32 () and b = Sketch.create ~sub:64 () in
-        Alcotest.check_raises "sub mismatch"
-          (Invalid_argument "Sketch.merge: geometry mismatch") (fun () -> Sketch.merge a b));
+        Alcotest.(check bool) "p99 in top octave" true (p99 >= top && p99 < 2.0 *. top));
     tc "copy is independent" (fun () ->
         let a = of_list [ 1.0; 2.0 ] in
         let b = Sketch.copy a in
@@ -90,11 +88,28 @@ let unit_tests =
 
 let values_gen = QCheck.(list_of_size Gen.(int_range 1 200) (float_range 1.0 1e9))
 
+(* the sketch's whole unclamped range [0, 2^41): exact zeros, the
+   linear [0,1) range, every octave (log-uniform), and the top octave *)
+let full_range_gen =
+  let below_one = Float.pred 1.0 in
+  let value =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, return 0.0);
+          (2, float_range 0.0 below_one);
+          (6, map2 Float.ldexp (float_range 0.5 below_one) (int_range 1 41));
+          (1, float_range (2.0 ** 40.0) (Float.pred (2.0 ** 41.0)));
+        ])
+  in
+  QCheck.(
+    make ~print:Print.(list float) Gen.(list_size (int_range 1 200) value))
+
 let differential_tests =
   [
-    prop "sketch == histogram oracle at equal geometry" values_gen (fun xs ->
-        let sk = of_list ~sub:32 xs in
-        let h = Histogram.create ~sub:32 () in
+    prop "sketch == histogram oracle at equal geometry" full_range_gen (fun xs ->
+        let sk = of_list xs in
+        let h = Histogram.create () in
         List.iter (Histogram.add h) xs;
         Sketch.count sk = Histogram.count h
         && List.for_all
@@ -105,7 +120,7 @@ let differential_tests =
         && bits (Sketch.min_value sk) = bits (Histogram.min_value h));
     prop "percentile within half a bucket of the exact sample" values_gen (fun xs ->
         let sub = 32 in
-        let sk = of_list ~sub xs in
+        let sk = of_list xs in
         List.for_all
           (fun q ->
             let est = Sketch.percentile sk q and x = exact_percentile xs q in
@@ -118,7 +133,7 @@ let differential_tests =
       QCheck.(list_of_size Gen.(int_range 1 100) (float_range 0.0001 0.999))
       (fun xs ->
         let sub = 32 in
-        let sk = of_list ~sub xs in
+        let sk = of_list xs in
         let est = Sketch.percentile sk 0.5 and x = exact_percentile xs 0.5 in
         Float.abs (est -. x) <= (0.5 /. float_of_int sub) +. 1e-9);
   ]
